@@ -35,25 +35,10 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-double parse_double(const std::string& key, const std::string& value) {
-  const std::string v = trim(value);
-  std::size_t consumed = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(v, &consumed);
-  } catch (const std::exception&) {
-    throw InvalidArgument("config key '" + key + "': cannot parse number '" + v + "'");
-  }
-  WRSN_REQUIRE(consumed == v.size(),
-               "config key '" + key + "': trailing junk in '" + v + "'");
-  return out;
-}
-
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  const double d = parse_double(key, value);
-  WRSN_REQUIRE(d >= 0.0 && d == static_cast<double>(static_cast<std::uint64_t>(d)),
-               "config key '" + key + "' requires a non-negative integer");
-  return static_cast<std::uint64_t>(d);
+// How an error names the value's source: CLI flags as written, everything
+// else as a config key.
+std::string subject(const std::string& key) {
+  return key.starts_with('-') ? key : "config key '" + key + "'";
 }
 
 bool parse_bool(const std::string& key, const std::string& value) {
@@ -175,11 +160,6 @@ const std::vector<KeyHandler>& handlers() {
        }},
       {"threads", [](const SimConfig& c) { return std::to_string(c.threads); },
        [](SimConfig& c, const std::string& v) { c.threads = parse_u64("threads", v); }},
-      {"parallel_threshold",
-       [](const SimConfig& c) { return std::to_string(c.parallel_threshold); },
-       [](SimConfig& c, const std::string& v) {
-         c.parallel_threshold = parse_u64("parallel_threshold", v);
-       }},
       {"activation", [](const SimConfig& c) { return to_string(c.activation); },
        [](SimConfig& c, const std::string& v) {
          c.activation = parse_activation(trim(v));
@@ -421,6 +401,28 @@ const KeyHandler& find_handler(const std::string& key) {
 }
 
 }  // namespace
+
+double parse_double(const std::string& key, const std::string& value) {
+  const std::string v = trim(value);
+  std::size_t consumed = 0;
+  double out = 0.0;
+  try {
+    out = std::stod(v, &consumed);
+  } catch (const std::exception&) {
+    throw InvalidArgument(subject(key) + ": cannot parse number '" + v + "'");
+  }
+  WRSN_REQUIRE(consumed == v.size(), subject(key) + ": trailing junk in '" + v + "'");
+  return out;
+}
+
+std::uint64_t parse_u64(const std::string& key, const std::string& value) {
+  const double d = parse_double(key, value);
+  // 2^64 bounds the cast, which is undefined for out-of-range values.
+  WRSN_REQUIRE(d >= 0.0 && d < 18446744073709551616.0 &&
+                   d == static_cast<double>(static_cast<std::uint64_t>(d)),
+               subject(key) + " requires a non-negative integer");
+  return static_cast<std::uint64_t>(d);
+}
 
 std::vector<std::string> config_keys() {
   std::vector<std::string> keys;

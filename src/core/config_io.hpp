@@ -4,12 +4,21 @@
 // by experiment scripts. Unknown keys are an error — silent typos in
 // experiment configs are how wrong papers get written.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/config.hpp"
 
 namespace wrsn {
+
+// Strict number parsing shared by the config keys and the tools' numeric
+// flags: the whole (whitespace-trimmed) value must parse, so "2x" and "-1"
+// (for parse_u64) throw InvalidArgument instead of truncating or wrapping.
+// `key` names the value in the error: a config key, or a CLI flag such as
+// "--seeds" (anything starting with '-') which is quoted as written.
+[[nodiscard]] double parse_double(const std::string& key, const std::string& value);
+[[nodiscard]] std::uint64_t parse_u64(const std::string& key, const std::string& value);
 
 // All recognized keys, in serialization order.
 [[nodiscard]] std::vector<std::string> config_keys();

@@ -1,13 +1,38 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 
 namespace wrsn {
 
+namespace {
+
+std::size_t hardware_threads() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+}  // namespace
+
+std::size_t resolve_threads(std::size_t config_threads) {
+  if (config_threads >= 1) return config_threads;
+  const char* env = std::getenv("WRSN_THREADS");
+  if (env == nullptr || *env == '\0') return hardware_threads();
+  // from_chars on an unsigned type takes digits only: no sign, no
+  // whitespace, and out-of-range values fail instead of wrapping.
+  const char* end = env + std::strlen(env);
+  std::size_t v = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  WRSN_REQUIRE(ec == std::errc{} && ptr == end,
+               "WRSN_THREADS must be a non-negative integer (got '" +
+                   std::string(env) + "')");
+  return v == 0 ? hardware_threads() : v;
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (num_threads == 0) num_threads = hardware_threads();
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

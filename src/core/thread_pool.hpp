@@ -1,5 +1,6 @@
 #pragma once
-// Fixed-size thread pool for coarse-grained experiment parallelism.
+// Fixed-size thread pool for coarse-grained experiment parallelism — the
+// simulator's only parallel mechanism.
 //
 // The experiment harness runs many independent simulation replicas; each
 // replica owns all its state, so the only synchronization needed is the task
@@ -20,6 +21,15 @@
 #include "core/error.hpp"
 
 namespace wrsn {
+
+// Resolves the replica-worker budget from the `threads` config knob:
+//   config_threads >= 1  -> that many workers (explicit).
+//   config_threads == 0  -> "auto": the WRSN_THREADS env var if set and
+//                           non-empty, else hardware concurrency; an env
+//                           value of 0 also means hardware concurrency.
+// WRSN_THREADS must be plain decimal digits ("-1", "abc" and "4x" throw
+// InvalidArgument naming the variable). The result is always >= 1.
+[[nodiscard]] std::size_t resolve_threads(std::size_t config_threads);
 
 class ThreadPool {
  public:

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 #include "geom/grid.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/plan_context.hpp"
@@ -227,7 +225,6 @@ void two_opt(Vec2 start, const std::vector<Vec2>& points,
 
   std::vector<std::size_t> cand;
   cand.reserve(64);
-  std::vector<std::uint8_t> accept;  // per-candidate acceptance flags
   std::vector<std::size_t> long_pos;  // sorted edge positions with elen > r_short
 
   // Round-scoped skip bound: all i beyond the last reversal of a round were
@@ -293,14 +290,7 @@ void two_opt(Vec2 start, const std::vector<Vec2>& points,
         std::sort(cand.begin(), cand.end());
         cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
 
-        // Ordered first-improvement selection. The acceptance test is pure
-        // in the current tour, so when an executor is installed and the
-        // candidate list clears its threshold the tests shard into disjoint
-        // flag slots and the serial scan then takes the FIRST accepted j in
-        // candidate order — exactly the move the serial early-exit scan
-        // takes (it merely skips evaluating candidates past the first hit,
-        // which cannot change which one is first). The reversal itself is
-        // applied serially either way.
+        // First improvement in candidate order, as the reference scans.
         auto accepts = [&](std::size_t j) {
           const Vec2 c = at(j + 1);
           const bool has_next = j + 1 < n;
@@ -312,26 +302,10 @@ void two_opt(Vec2 start, const std::vector<Vec2>& points,
           return after + 1e-12 < before;
         };
         std::size_t chosen = kBadIndex;
-        ParallelExec* exec = current_parallel();
-        if (exec != nullptr && exec->should_shard(cand.size())) {
-          accept.assign(cand.size(), 0);
-          exec->for_shards(cand.size(), [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t ci = lo; ci < hi; ++ci) {
-              if (accepts(cand[ci])) accept[ci] = 1;
-            }
-          });
-          for (std::size_t ci = 0; ci < cand.size(); ++ci) {
-            if (accept[ci] != 0) {
-              chosen = cand[ci];
-              break;
-            }
-          }
-        } else {
-          for (const std::size_t j : cand) {
-            if (accepts(j)) {
-              chosen = j;
-              break;
-            }
+        for (const std::size_t j : cand) {
+          if (accepts(j)) {
+            chosen = j;
+            break;
           }
         }
         if (chosen == kBadIndex) break;

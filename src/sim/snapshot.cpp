@@ -163,6 +163,13 @@ void io_series_point(Ar& ar, P& p) {
   ar.f64(p.rv_travel_distance);
 }
 
+void require_schema_version(std::uint32_t version) {
+  WRSN_REQUIRE(version == kSnapshotSchemaVersion,
+               "unsupported snapshot schema version " + std::to_string(version) +
+                   " (this build reads version " +
+                   std::to_string(kSnapshotSchemaVersion) + ")");
+}
+
 }  // namespace
 
 // The one place that walks World's mutable members. Instantiated twice:
@@ -458,8 +465,7 @@ World::World(const WorldSnapshot& snap)
 }
 
 void World::load_state(const WorldSnapshot& snap) {
-  WRSN_REQUIRE(snap.version == kSnapshotSchemaVersion,
-               "unsupported snapshot schema version");
+  require_schema_version(snap.version);
   BinReader r(snap.state);
   SnapshotAccess::io(*this, r);
   r.expect_end();
@@ -495,8 +501,7 @@ WorldSnapshot deserialize_snapshot(std::string_view bytes) {
   BinReader r(payload.substr(kMagic.size()));
   WorldSnapshot snap;
   r.u32(snap.version);
-  WRSN_REQUIRE(snap.version == kSnapshotSchemaVersion,
-               "unsupported snapshot schema version");
+  require_schema_version(snap.version);
   r.str(snap.config_text);
   r.u8(snap.engine);
   r.f64(snap.now);

@@ -32,7 +32,9 @@ namespace wrsn {
 
 // v2: routing policy knob + link-quality layer (traffic flows carry per-hop
 // ETX/success captures, the integrator tracks packets_offered).
-inline constexpr std::uint32_t kSnapshotSchemaVersion = 2;
+// v3: the embedded config text drops the removed shard-executor threshold
+// key; v2 snapshots are rejected rather than restored.
+inline constexpr std::uint32_t kSnapshotSchemaVersion = 3;
 
 struct WorldSnapshot {
   std::uint32_t version = kSnapshotSchemaVersion;

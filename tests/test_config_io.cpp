@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "core/config_io.hpp"
 #include "core/error.hpp"
@@ -61,6 +62,46 @@ TEST(ConfigIo, RejectsBadInput) {
   EXPECT_THROW(config_set(cfg, "link.enabled", "maybe"), InvalidArgument);
   EXPECT_THROW(config_set(cfg, "link.max_retx", "several"), InvalidArgument);
   EXPECT_THROW((void)config_get(cfg, "no_such_key"), InvalidArgument);
+}
+
+// Configs written before the key was removed must fail loudly rather than
+// have the line silently dropped.
+TEST(ConfigIo, RemovedParallelThresholdKeyIsRejected) {
+  try {
+    (void)config_from_text("num_sensors = 40\nparallel_threshold=4096\n");
+    FAIL() << "parallel_threshold was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("parallel_threshold"), std::string::npos)
+        << e.what();
+  }
+}
+
+// The tools parse their numeric flags with the same strict helpers; the
+// error names the flag as written.
+TEST(ConfigIo, StrictNumberParsersNameTheirSource) {
+  EXPECT_EQ(parse_u64("--seeds", "3"), 3u);
+  EXPECT_EQ(parse_double("--watchdog-s", " 2.5 "), 2.5);
+  const auto error_for = [](const auto& parse, const std::string& value) {
+    try {
+      (void)parse(value);
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "accepted '" << value << "'";
+    return std::string();
+  };
+  const auto seeds = [](const std::string& v) { return parse_u64("--seeds", v); };
+  for (const char* bad : {"-1", "2x", "abc", "", "1.5", "1e30"}) {
+    const std::string message = error_for(seeds, bad);
+    EXPECT_NE(message.find("--seeds"), std::string::npos) << bad << ": " << message;
+  }
+  const auto backoff = [](const std::string& v) {
+    return parse_double("--retry-backoff-ms", v);
+  };
+  EXPECT_NE(error_for(backoff, "5ms").find("--retry-backoff-ms"), std::string::npos);
+  // Config keys keep their "config key '...'" phrasing.
+  const auto key = [](const std::string& v) { return parse_u64("num_rvs", v); };
+  EXPECT_NE(error_for(key, "-2").find("config key 'num_rvs'"), std::string::npos);
 }
 
 TEST(ConfigIo, UnknownEnumValueErrorsListValidNames) {

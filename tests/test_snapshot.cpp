@@ -262,6 +262,20 @@ TEST(SnapshotFile, RejectsCorruption) {
   EXPECT_THROW(deserialize_snapshot(flipped), InvalidArgument);
 }
 
+TEST(SnapshotFile, RejectsOtherSchemaVersion) {
+  WorldSnapshot snap = tiny_snapshot();
+  snap.version = kSnapshotSchemaVersion - 1;  // e.g. written by an older build
+  try {
+    (void)deserialize_snapshot(serialize_snapshot(snap));
+    FAIL() << "an older snapshot version was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot schema version"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(World{snap}, InvalidArgument);
+}
+
 TEST(SnapshotFile, SaveLoadFile) {
   const std::string path = temp_path("world.snap");
   const WorldSnapshot snap = tiny_snapshot();

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/thread_pool.hpp"
 
 namespace wrsn {
@@ -87,6 +92,53 @@ TEST(ThreadPool, SingleThreadPreservesUsability) {
   for (int i = 1; i <= 10; ++i) futs.push_back(pool.submit([i] { return i; }));
   for (auto& f : futs) sum += f.get();
   EXPECT_EQ(sum, 55);
+}
+
+std::size_t hardware_threads() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+TEST(ResolveThreads, ExplicitValuePassesThrough) {
+  ::unsetenv("WRSN_THREADS");
+  EXPECT_EQ(resolve_threads(1), 1u);
+  EXPECT_EQ(resolve_threads(7), 7u);
+}
+
+TEST(ResolveThreads, AutoWithoutEnvIsHardwareConcurrency) {
+  ::unsetenv("WRSN_THREADS");
+  EXPECT_EQ(resolve_threads(0), hardware_threads());
+  ::setenv("WRSN_THREADS", "", 1);  // empty counts as unset
+  EXPECT_EQ(resolve_threads(0), hardware_threads());
+  ::unsetenv("WRSN_THREADS");
+}
+
+TEST(ResolveThreads, AutoReadsEnv) {
+  ::setenv("WRSN_THREADS", "5", 1);
+  EXPECT_EQ(resolve_threads(0), 5u);
+  // Explicit config beats the env.
+  EXPECT_EQ(resolve_threads(3), 3u);
+  // Env value 0 = hardware concurrency (>= 1).
+  ::setenv("WRSN_THREADS", "0", 1);
+  EXPECT_GE(resolve_threads(0), 1u);
+  ::unsetenv("WRSN_THREADS");
+}
+
+// Only plain digits are a thread count: a sign, junk or an overflow must
+// not wrap or truncate, and the error names the variable.
+TEST(ResolveThreads, RejectsMalformedEnv) {
+  for (const char* bad : {"-1", "abc", "4x", " 4", "+4", "99999999999999999999999"}) {
+    ::setenv("WRSN_THREADS", bad, 1);
+    try {
+      (void)resolve_threads(0);
+      ADD_FAILURE() << "accepted WRSN_THREADS='" << bad << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("WRSN_THREADS"), std::string::npos)
+          << e.what();
+    }
+    // An explicit budget never consults the env.
+    EXPECT_EQ(resolve_threads(2), 2u);
+  }
+  ::unsetenv("WRSN_THREADS");
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //     --seed N             shorthand for --set seed=N
 //     --scheduler NAME     shorthand for --set scheduler=NAME
 //     --routing NAME       shorthand for --set routing=NAME
-//     --threads N          shorthand for --set threads=N
+//     --threads N          shorthand for --set threads=N: replica workers
 //     --seeds N            run N replicas (seed, seed+1, ...) and report
 //                          mean +/- 95% CI per metric
 //     --csv FILE           append one CSV row per replica to FILE
@@ -66,9 +66,9 @@ extern "C" void checkpoint_signal_handler(int) { g_stop_requested = 1; }
       "  --scheduler NAME     a registered policy (see --list-schedulers)\n"
       "  --routing NAME       a registered routing policy (see --list-routers)\n"
       "  --threads N          shorthand for --set threads=N: worker threads\n"
-      "                       for the deterministic intra-simulation shards\n"
-      "                       (0 = auto from WRSN_THREADS, default 1; output\n"
-      "                       is byte-identical at any thread count)\n"
+      "                       for the --seeds replicas (0 = auto: WRSN_THREADS,\n"
+      "                       else hardware concurrency; output is\n"
+      "                       byte-identical at any thread count)\n"
       "  --faults FILE|SPEC   enable fault injection: a config file of\n"
       "                       fault.* keys, or a comma list such as\n"
       "                       request_loss_prob=0.2,rv_breakdown_at_h=6\n"
@@ -275,7 +275,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--faults") {
       apply_fault_arg(cfg, need_value(i));
     } else if (a == "--seeds") {
-      seeds = static_cast<std::size_t>(std::stoul(need_value(i)));
+      seeds = parse_u64(a, need_value(i));
       WRSN_REQUIRE(seeds > 0, "--seeds must be positive");
     } else if (a == "--csv") {
       csv_path = need_value(i);
@@ -288,7 +288,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--chrome-trace") {
       chrome_path = need_value(i);
     } else if (a == "--flight-recorder") {
-      flight_capacity = static_cast<std::size_t>(std::stoul(need_value(i)));
+      flight_capacity = parse_u64(a, need_value(i));
       WRSN_REQUIRE(flight_capacity > 0, "--flight-recorder must be positive");
     } else if (a == "--series") {
       series_path = need_value(i);
@@ -297,7 +297,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--checkpoint") {
       checkpoint_prefix = need_value(i);
     } else if (a == "--checkpoint-every") {
-      checkpoint_every = std::stod(need_value(i));
+      checkpoint_every = parse_double(a, need_value(i));
       WRSN_REQUIRE(checkpoint_every > 0.0, "--checkpoint-every must be positive");
     } else if (a == "--checkpoint-on-signal") {
       checkpoint_on_signal = true;
@@ -316,6 +316,8 @@ int main(int argc, char** argv) try {
     std::cout << config_to_text(cfg);
     return 0;
   }
+  // Resolved up front so a bad WRSN_THREADS fails before any simulation.
+  const std::size_t workers = resolve_threads(cfg.threads);
 
   // Checkpoint/restore is a single-replica feature: a snapshot captures ONE
   // world, and replica fan-out would leave the other seeds unrecoverable.
@@ -432,7 +434,7 @@ int main(int argc, char** argv) try {
   if (seeds > 1) {
     SimConfig rest = cfg;
     rest.seed = cfg.seed + 1;
-    ThreadPool pool;
+    ThreadPool pool(std::min(workers, seeds - 1));
     auto more = run_replicas(rest, seeds - 1, &pool, telemetry_ptr);
     reports.insert(reports.end(), more.begin(), more.end());
   }

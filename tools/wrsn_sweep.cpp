@@ -14,14 +14,10 @@
 //              [--watchdog-s S] [--retries N] [--retry-backoff-ms MS]
 //              [--inject-fail POINT,REPLICA] [--list-routers]
 //
-// --threads N (or the `threads` config key / WRSN_THREADS env) is the TOTAL
-// thread budget, split between outer replica workers and inner per-replica
-// shard threads so that outer x inner <= N: the sweep first spends the
-// budget on whole replicas (outer = min(N, points x seeds)) and gives any
-// leftover factor to each replica's deterministic shard executor
-// (inner = N / outer). Reports are byte-identical for any split. With no
-// budget given, the historical default applies: one hardware thread per
-// replica worker, serial replicas.
+// --threads N (or the `threads` config key / WRSN_THREADS env) is the number
+// of replica workers, capped at points x seeds; the default is hardware
+// concurrency. Each replica runs on one worker, and reports are
+// byte-identical for any worker count.
 //
 // --telemetry FILE aggregates telemetry (event-loop counters, scheduler
 // timing histograms) over every replica of every grid point and writes it
@@ -68,7 +64,6 @@
 #include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/atomic_file.hpp"
@@ -76,7 +71,6 @@
 #include "core/config_io.hpp"
 #include "core/error.hpp"
 #include "core/json.hpp"
-#include "core/parallel.hpp"
 #include "core/stats.hpp"
 #include "core/thread_pool.hpp"
 #include "net/routing.hpp"
@@ -172,8 +166,8 @@ std::string journal_done_line(std::uint64_t cells) {
 
 // Identity of a sweep for resume purposes: base config text + grid spec +
 // replica count. A journal can only resume the exact campaign it recorded.
-// `threads` is normalized out: reports are byte-identical for any thread
-// split, so a resume may use a different budget than the original run.
+// `threads` is normalized out: reports are byte-identical for any worker
+// count, so a resume may use a different count than the original run.
 std::uint64_t campaign_hash(const SimConfig& base,
                             const std::vector<Sweep>& sweeps,
                             std::size_t seeds) {
@@ -267,7 +261,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--faults") {
       apply_fault_arg(base, need_value(i));
     } else if (a == "--seeds") {
-      seeds = static_cast<std::size_t>(std::stoul(need_value(i)));
+      seeds = parse_u64(a, need_value(i));
     } else if (a == "--csv") {
       csv_path = need_value(i);
     } else if (a == "--telemetry") {
@@ -277,7 +271,7 @@ int main(int argc, char** argv) try {
     } else if (a == "--chrome-trace") {
       chrome_prefix = need_value(i);
     } else if (a == "--flight-recorder") {
-      flight_capacity = static_cast<std::size_t>(std::stoul(need_value(i)));
+      flight_capacity = parse_u64(a, need_value(i));
       WRSN_REQUIRE(flight_capacity > 0, "--flight-recorder must be positive");
     } else if (a == "--journal") {
       journal_dir = need_value(i);
@@ -285,17 +279,17 @@ int main(int argc, char** argv) try {
       journal_dir = need_value(i);
       resume = true;
     } else if (a == "--watchdog-s") {
-      sup_options.watchdog_s = std::stod(need_value(i));
+      sup_options.watchdog_s = parse_double(a, need_value(i));
     } else if (a == "--retries") {
-      sup_options.max_retries = static_cast<std::size_t>(std::stoul(need_value(i)));
+      sup_options.max_retries = parse_u64(a, need_value(i));
     } else if (a == "--retry-backoff-ms") {
-      sup_options.backoff_ms = std::stod(need_value(i));
+      sup_options.backoff_ms = parse_double(a, need_value(i));
     } else if (a == "--inject-fail") {
       const std::vector<std::string> pr = split(need_value(i), ',');
       WRSN_REQUIRE(pr.size() == 2, "--inject-fail expects POINT,REPLICA");
       inject_fail = true;
-      inject_point = static_cast<std::size_t>(std::stoul(pr[0]));
-      inject_replica = static_cast<std::size_t>(std::stoul(pr[1]));
+      inject_point = parse_u64(a, pr[0]);
+      inject_replica = parse_u64(a, pr[1]);
     } else {
       std::cerr << "unknown option '" << a << "' (try --help)\n";
       return 2;
@@ -416,23 +410,8 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // Thread-budget split (see file header): outer replica workers x inner
-  // per-replica shard threads <= budget. The budget comes from the single
-  // `threads` knob (CLI / config / WRSN_THREADS); when nobody set it, keep
-  // the historical default of hardware-concurrency replica workers with
-  // serial replicas.
-  const bool budget_given =
-      base.threads != 0 || std::getenv("WRSN_THREADS") != nullptr;
-  const std::size_t budget =
-      budget_given ? resolve_threads(base.threads)
-                   : std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  const std::size_t outer = std::max<std::size_t>(std::min(budget, total_tasks), 1);
-  const std::size_t inner = budget_given ? std::max<std::size_t>(budget / outer, 1) : 1;
-  for (SimConfig& cfg : point_cfgs) cfg.threads = inner;
-  if (budget_given) {
-    std::cout << "thread budget " << budget << ": " << outer
-              << " replica worker(s) x " << inner << " shard thread(s)\n";
-  }
+  // Replica workers (see file header); seeds > 0, so total_tasks >= 1.
+  const std::size_t workers = std::min(resolve_threads(base.threads), total_tasks);
 
   obs::TelemetryRegistry telemetry;
   obs::TelemetryRegistry* telemetry_ptr =
@@ -475,7 +454,7 @@ int main(int argc, char** argv) try {
     obs::FlightRecorder::arm_signal_handlers();
   }
 
-  ThreadPool pool(outer);
+  ThreadPool pool(workers);
   pool.parallel_for(total_tasks, [&](std::size_t task) {
     if (done[task]) return;  // journaled by a previous (interrupted) run
     const std::size_t point = task / seeds;

@@ -2,13 +2,10 @@
 // per processed event), for debugging schedules and for teaching material.
 // Use short horizons: a 120-day run emits hundreds of thousands of events.
 //
-//   wrsn_trace [--days N] [--threads N] [--set KEY=VALUE]...
+//   wrsn_trace [--days N] [--set KEY=VALUE]...
 //              [--faults FILE|SPEC] [--out FILE] [--format csv|jsonl]
 //              [--telemetry FILE] [--spans FILE] [--chrome-trace FILE]
 //              [--flight-recorder N]
-//
-// --threads N is shorthand for --set threads=N (deterministic shard
-// executor; the trace stream is byte-identical at any thread count).
 //
 // Formats (both carry the same fields; see obs/trace.hpp):
 //   csv    t_seconds,t_hours,event,subject,epoch,queue_size   (default)
@@ -63,7 +60,7 @@ int main(int argc, char** argv) try {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--help" || a == "-h") {
-      std::cout << "wrsn_trace [--days N] [--threads N] [--set KEY=VALUE]...\n"
+      std::cout << "wrsn_trace [--days N] [--set KEY=VALUE]...\n"
                    "           [--faults FILE|SPEC] [--out FILE] [--format csv|jsonl]\n"
                    "           [--telemetry FILE] [--spans FILE] [--chrome-trace FILE]\n"
                    "           [--flight-recorder N]\n"
@@ -81,8 +78,6 @@ int main(int argc, char** argv) try {
     }
     if (a == "--days") {
       config_set(cfg, "sim_days", need_value(i));
-    } else if (a == "--threads") {
-      config_set(cfg, "threads", need_value(i));
     } else if (a == "--faults") {
       apply_fault_arg(cfg, need_value(i));
     } else if (a == "--set") {
@@ -103,12 +98,12 @@ int main(int argc, char** argv) try {
     } else if (a == "--chrome-trace") {
       chrome_path = need_value(i);
     } else if (a == "--flight-recorder") {
-      flight_capacity = static_cast<std::size_t>(std::stoul(need_value(i)));
+      flight_capacity = parse_u64(a, need_value(i));
       WRSN_REQUIRE(flight_capacity > 0, "--flight-recorder must be positive");
     } else if (a == "--checkpoint") {
       checkpoint_prefix = need_value(i);
     } else if (a == "--checkpoint-every") {
-      checkpoint_every = std::stod(need_value(i));
+      checkpoint_every = parse_double(a, need_value(i));
       WRSN_REQUIRE(checkpoint_every > 0.0, "--checkpoint-every must be positive");
     } else if (a == "--checkpoint-on-signal") {
       checkpoint_on_signal = true;
