@@ -21,7 +21,9 @@
 // ascending reference scan with strict comparisons).
 //
 // Setting the environment variable WRSN_REFERENCE_PLANNERS=1 routes every
-// query back to the reference scans (A/B hook for tests and benches).
+// query back to the reference scans (A/B hook for tests and benches). It
+// steers PlanContext only: tours (sched/tsp.hpp) and k-means
+// (sched/kmeans.hpp) have a single implementation.
 
 #include <optional>
 #include <vector>
@@ -34,8 +36,8 @@
 namespace wrsn {
 
 // True when WRSN_REFERENCE_PLANNERS is set (to anything but "" or "0"):
-// PlanContext queries and the optimized tsp/kmeans routines then fall back
-// to their linear reference implementations. Read once per process.
+// PlanContext queries then fall back to the linear reference scans in
+// sched/planner.hpp. Read once per process.
 [[nodiscard]] bool planners_use_reference();
 
 class PlanContext {

@@ -1,19 +1,16 @@
-// Property tests: the grid-pruned planners (sched/plan_context.hpp, the
-// grid paths in sched/tsp.cpp and sched/kmeans.cpp) must be bit-identical
-// to the linear-scan reference implementations on every input — same picks,
-// same sequences, same tours, same clusterings. Instances are sized past
-// the small-n reference dispatch thresholds so the pruned code paths are
-// what actually runs.
+// Property tests: the grid-pruned PlanContext queries
+// (sched/plan_context.hpp) must be bit-identical to the linear-scan
+// reference planners on every input — same picks, same sequences. Instances
+// are sized past the small-n reference dispatch threshold so the pruned code
+// paths are what actually runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "core/rng.hpp"
-#include "sched/kmeans.hpp"
 #include "sched/plan_context.hpp"
 #include "sched/planner.hpp"
-#include "sched/tsp.hpp"
 
 namespace {
 
@@ -26,9 +23,9 @@ struct Instance {
   std::vector<bool> taken;
 };
 
-// A random planning instance. Sizes span the small-n dispatch thresholds
-// (16 for PlanContext, 128 for tours, 64 for k-means); fields vary from
-// dense to sparse; some draws are all-critical or zero-budget.
+// A random planning instance. Sizes span PlanContext's small-n dispatch
+// threshold (16 items); fields vary from dense to sparse; some draws are
+// all-critical or zero-budget.
 Instance random_instance(Xoshiro256& rng) {
   Instance inst;
   const std::size_t n = 5 + rng.uniform_int(400);
@@ -99,88 +96,6 @@ TEST(PlannerEquivalence, InsertionSequenceMatchesReference) {
     const auto opt = ctx.insertion_sequence(inst.rv, taken_opt);
     ASSERT_EQ(ref, opt) << "trial " << t;
     ASSERT_EQ(taken_ref, taken_opt) << "trial " << t;
-  }
-}
-
-TEST(PlannerEquivalence, NearestNeighborTourMatchesReference) {
-  Xoshiro256 rng(4004);
-  for (int t = 0; t < kTrials; ++t) {
-    const Instance inst = random_instance(rng);
-    std::vector<Vec2> points;
-    points.reserve(inst.items.size());
-    for (const RechargeItem& it : inst.items) points.push_back(it.pos);
-    const auto ref = nearest_neighbor_tour_reference(inst.rv.pos, points);
-    const auto opt = nearest_neighbor_tour(inst.rv.pos, points);
-    ASSERT_EQ(ref, opt) << "trial " << t;
-  }
-}
-
-TEST(PlannerEquivalence, TwoOptMatchesReference) {
-  Xoshiro256 rng(5005);
-  for (int t = 0; t < kTrials; ++t) {
-    const Instance inst = random_instance(rng);
-    std::vector<Vec2> points;
-    points.reserve(inst.items.size());
-    for (const RechargeItem& it : inst.items) points.push_back(it.pos);
-    auto order_ref = nearest_neighbor_tour_reference(inst.rv.pos, points);
-    auto order_opt = order_ref;
-    two_opt_reference(inst.rv.pos, points, order_ref);
-    two_opt(inst.rv.pos, points, order_opt);
-    ASSERT_EQ(order_ref, order_opt) << "trial " << t;
-    ASSERT_NEAR(open_tour_length(inst.rv.pos, points, order_ref),
-                open_tour_length(inst.rv.pos, points, order_opt), 1e-9);
-  }
-}
-
-TEST(PlannerEquivalence, TwoOptMatchesReferenceOnSubsetTours) {
-  // `order` may index only a subset of `points` (the world plans tours over
-  // served items while the grid sees every point).
-  Xoshiro256 rng(6006);
-  for (int t = 0; t < 50; ++t) {
-    const Instance inst = random_instance(rng);
-    std::vector<Vec2> points;
-    points.reserve(inst.items.size());
-    for (const RechargeItem& it : inst.items) points.push_back(it.pos);
-    std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (rng.uniform() < 0.7) order.push_back(i);
-    }
-    // Shuffle so the tour is not already nearest-neighbour shaped.
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[rng.uniform_int(i)]);
-    }
-    auto order_ref = order;
-    auto order_opt = order;
-    two_opt_reference(inst.rv.pos, points, order_ref);
-    two_opt(inst.rv.pos, points, order_opt);
-    ASSERT_EQ(order_ref, order_opt) << "trial " << t;
-  }
-}
-
-TEST(PlannerEquivalence, KMeansMatchesReference) {
-  Xoshiro256 rng(7007);
-  for (int t = 0; t < kTrials; ++t) {
-    const Instance inst = random_instance(rng);
-    std::vector<Vec2> points;
-    points.reserve(inst.items.size());
-    for (const RechargeItem& it : inst.items) points.push_back(it.pos);
-    const std::size_t k = 1 + rng.uniform_int(12);
-    // Identically seeded RNG copies: both paths must consume the stream the
-    // same way (k-means++ is shared; Lloyd draws nothing).
-    const std::uint64_t seed = rng.next();
-    Xoshiro256 r_ref(seed);
-    Xoshiro256 r_opt(seed);
-    const auto ref = kmeans_reference(points, k, r_ref);
-    const auto opt = kmeans(points, k, r_opt);
-    ASSERT_EQ(ref.assignment, opt.assignment) << "trial " << t;
-    ASSERT_EQ(ref.centroids.size(), opt.centroids.size()) << "trial " << t;
-    for (std::size_t c = 0; c < ref.centroids.size(); ++c) {
-      ASSERT_EQ(ref.centroids[c].x, opt.centroids[c].x) << "trial " << t;
-      ASSERT_EQ(ref.centroids[c].y, opt.centroids[c].y) << "trial " << t;
-    }
-    ASSERT_EQ(ref.wcss, opt.wcss) << "trial " << t;
-    ASSERT_EQ(ref.iterations, opt.iterations) << "trial " << t;
-    ASSERT_EQ(ref.converged, opt.converged) << "trial " << t;
   }
 }
 

@@ -99,5 +99,77 @@ TEST(Tsp, TourLengthIndexValidation) {
   EXPECT_THROW((void)open_tour_length({0, 0}, pts, {5}), InvalidArgument);
 }
 
+TEST(Tsp, TwoOptIndexValidation) {
+  const std::vector<Vec2> pts = {{1, 1}, {2, 2}, {3, 3}};
+  std::vector<std::size_t> order = {0, 1, 7};
+  EXPECT_THROW(two_opt({0, 0}, pts, order), InvalidArgument);
+}
+
+TEST(Tsp, NearestNeighborTieGoesToLowerIndex) {
+  // Points 1 and 2 are both 1 m from the start; the lower index goes first.
+  const std::vector<Vec2> pts = {{3, 0}, {-1, 0}, {1, 0}};
+  EXPECT_EQ(nearest_neighbor_tour({0, 0}, pts),
+            (std::vector<std::size_t>{1, 2, 0}));
+  // Same geometry with the tied points' indices swapped.
+  const std::vector<Vec2> swapped = {{3, 0}, {1, 0}, {-1, 0}};
+  EXPECT_EQ(nearest_neighbor_tour({0, 0}, swapped),
+            (std::vector<std::size_t>{1, 0, 2}));
+}
+
+// A shuffled tour over a random ~70% subset of 5..404 random points. The
+// discarded draws keep the RNG stream aligned with random_instance() in
+// test_planner_equivalence.cpp, so a seed gives the same points and start
+// (the RV position) as that generator does.
+struct SubsetTour {
+  std::vector<Vec2> points;
+  Vec2 start;
+  std::vector<std::size_t> order;
+};
+
+SubsetTour random_subset_tour(Xoshiro256& rng) {
+  SubsetTour tour;
+  const std::size_t n = 5 + rng.uniform_int(400);
+  const double side = rng.uniform(20.0, 1200.0);
+  const bool all_critical = rng.uniform() < 0.05;
+  const bool zero_budget = rng.uniform() < 0.05;
+  for (std::size_t i = 0; i < n; ++i) {
+    tour.points.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
+    (void)rng.uniform();                    // demand
+    if (!all_critical) (void)rng.uniform();  // critical flag
+    (void)rng.uniform();                    // min_fraction
+  }
+  for (int draw = 0; draw < 3; ++draw) (void)rng.uniform();  // base, e_m
+  tour.start = {rng.uniform(0.0, side), rng.uniform(0.0, side)};
+  if (!zero_budget) (void)rng.uniform();  // RV budget
+  for (std::size_t i = 0; i < n; ++i) (void)rng.uniform();  // taken mask
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.uniform() < 0.7) tour.order.push_back(i);
+  }
+  // Shuffle so the tour is not already nearest-neighbour shaped.
+  for (std::size_t i = tour.order.size(); i > 1; --i) {
+    std::swap(tour.order[i - 1], tour.order[rng.uniform_int(i)]);
+  }
+  return tour;
+}
+
+TEST(Tsp, TwoOptOnSubsetToursPermutesAndNeverWorsens) {
+  // `order` may index only a subset of `points` (the world plans tours over
+  // served items only).
+  Xoshiro256 rng(6006);
+  for (int t = 0; t < 50; ++t) {
+    const SubsetTour tour = random_subset_tour(rng);
+    auto order = tour.order;
+    two_opt(tour.start, tour.points, order);
+    auto sorted_in = tour.order;
+    auto sorted_out = order;
+    std::sort(sorted_in.begin(), sorted_in.end());
+    std::sort(sorted_out.begin(), sorted_out.end());
+    ASSERT_EQ(sorted_in, sorted_out) << "trial " << t;
+    EXPECT_LE(open_tour_length(tour.start, tour.points, order),
+              open_tour_length(tour.start, tour.points, tour.order) + 1e-9)
+        << "trial " << t;
+  }
+}
+
 }  // namespace
 }  // namespace wrsn
