@@ -15,16 +15,6 @@ MetricsReport run_replica(const SimConfig& config,
   return world.run();
 }
 
-MetricsReport run_replica(const SimConfig& config,
-                          const ReplicaInstruments& instruments) {
-  World world(config);
-  world.set_telemetry(instruments.telemetry);
-  world.set_trace_sink(instruments.trace);
-  world.set_span_log(instruments.spans);
-  world.set_flight_recorder(instruments.flight);
-  return world.run();
-}
-
 MetricsReport mean_report(const std::vector<MetricsReport>& reports) {
   WRSN_REQUIRE(!reports.empty(), "cannot average zero reports");
   MetricsReport mean;

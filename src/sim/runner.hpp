@@ -8,10 +8,7 @@
 
 #include "core/config.hpp"
 #include "core/thread_pool.hpp"
-#include "obs/flight.hpp"
-#include "obs/spans.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "sim/metrics.hpp"
 
 namespace wrsn {
@@ -21,21 +18,6 @@ namespace wrsn {
 // scheduler timings into it (see obs/telemetry.hpp); physics is unaffected.
 [[nodiscard]] MetricsReport run_replica(const SimConfig& config,
                                         obs::TelemetryRegistry* telemetry = nullptr);
-
-// Per-replica observability attachments (each may be null). All are purely
-// observational — attaching any of them leaves the replica's physics and
-// report byte-identical (tests/test_spans.cpp).
-struct ReplicaInstruments {
-  obs::TelemetryRegistry* telemetry = nullptr;
-  obs::TraceSink* trace = nullptr;     // per-event records (schema v1)
-  obs::SpanLog* spans = nullptr;       // lifecycle spans (schema v2); the
-                                       // caller owns SpanLog::finish()
-  obs::FlightRecorder* flight = nullptr;
-};
-
-// run_replica with the full instrument set attached.
-[[nodiscard]] MetricsReport run_replica(const SimConfig& config,
-                                        const ReplicaInstruments& instruments);
 
 // Field-wise arithmetic mean of reports (counters become averages too).
 [[nodiscard]] MetricsReport mean_report(const std::vector<MetricsReport>& reports);

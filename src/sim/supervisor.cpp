@@ -1,21 +1,47 @@
 #include "sim/supervisor.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <thread>
 
+#include "core/error.hpp"
 #include "sim/world.hpp"
 
 namespace wrsn {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+// Longest wall-clock span, in seconds, that still fits a steady_clock
+// deadline: half the clock's range leaves the other half for now().
+double max_clock_seconds() {
+  return std::chrono::duration<double>(Clock::duration::max()).count() / 2.0;
+}
+
+}  // namespace
 
 ReplicaSupervisor::ReplicaSupervisor(SupervisorOptions options,
                                      obs::TelemetryRegistry* telemetry)
     : options_(std::move(options)), telemetry_(telemetry) {
+  validate(options_);
   if (!options_.sleep_ms) {
     options_.sleep_ms = [](double ms) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
+      // Doubling can outgrow the clock; a capped sleep is still "forever".
+      const double capped = std::min(ms, max_clock_seconds() * 1e3);
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(capped));
     };
   }
+}
+
+void ReplicaSupervisor::validate(const SupervisorOptions& options) {
+  WRSN_REQUIRE(std::isfinite(options.watchdog_s) &&
+                   options.watchdog_s <= max_clock_seconds(),
+               "watchdog_s must be a finite number of seconds that fits "
+               "steady_clock (<= 0 disables the watchdog)");
+  WRSN_REQUIRE(std::isfinite(options.backoff_ms) && options.backoff_ms >= 0.0,
+               "backoff_ms must be finite and >= 0");
 }
 
 void ReplicaSupervisor::count(const char* name) {
@@ -23,40 +49,31 @@ void ReplicaSupervisor::count(const char* name) {
 }
 
 ReplicaResult ReplicaSupervisor::run(const SimConfig& config) {
-  return run(config, ReplicaInstruments{});
+  return supervise([&]() {
+    World world(config);
+    return run_watched(world, config.sim_duration);
+  });
 }
 
-ReplicaResult ReplicaSupervisor::run(const SimConfig& config,
-                                     const ReplicaInstruments& instruments) {
-  return supervise([&]() {
-    AttemptOutcome out;
-    World world(config);
-    world.set_telemetry(instruments.telemetry);
-    world.set_trace_sink(instruments.trace);
-    world.set_span_log(instruments.spans);
-    world.set_flight_recorder(instruments.flight);
-    if (options_.watchdog_s > 0.0) {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(options_.watchdog_s));
-      // Throttle the clock read: one syscall per event would dominate small
-      // replicas, and a 1024-event overshoot is noise at wall-clock scale.
-      std::uint32_t tick = 0;
-      world.set_checkpoint_hook([deadline, tick](const World&) mutable {
-        if (++tick % 1024 != 0) return false;
-        return std::chrono::steady_clock::now() >= deadline;
-      });
-    }
-    world.run_until(config.sim_duration);
-    if (!world.finished()) {
-      out.status = AttemptOutcome::Status::kTimeout;
-      return out;
-    }
-    out.status = AttemptOutcome::Status::kOk;
-    out.report = world.report();
-    return out;
-  });
+AttemptOutcome ReplicaSupervisor::run_watched(World& world, Second horizon) const {
+  if (options_.watchdog_s > 0.0) {
+    const auto deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(options_.watchdog_s));
+    // Throttle the clock read: one syscall per event would dominate small
+    // replicas, and a 1024-event overshoot is noise at wall-clock scale.
+    std::uint32_t tick = 0;
+    world.set_checkpoint_hook([deadline, tick](const World&) mutable {
+      if (++tick % 1024 != 0) return false;
+      return Clock::now() >= deadline;
+    });
+  }
+  world.run_until(horizon);
+  AttemptOutcome out;
+  out.status = world.finished() ? AttemptOutcome::Status::kOk
+                                : AttemptOutcome::Status::kTimeout;
+  if (world.finished()) out.report = world.report();
+  return out;
 }
 
 ReplicaResult ReplicaSupervisor::supervise(

@@ -29,18 +29,22 @@
 #include <string>
 
 #include "core/config.hpp"
+#include "core/units.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/metrics.hpp"
-#include "sim/runner.hpp"
 
 namespace wrsn {
 
+class World;
+
 struct SupervisorOptions {
   // Wall-clock budget per attempt, seconds; <= 0 disables the watchdog.
+  // Must be finite and fit steady_clock (validated by ReplicaSupervisor).
   double watchdog_s = 0.0;
   // Retries after the first attempt before quarantining.
   std::size_t max_retries = 2;
   // First retry delay in milliseconds; doubles on every further retry.
+  // Must be finite and >= 0.
   double backoff_ms = 100.0;
   // Injectable sleep (milliseconds). Null = real std::this_thread sleep.
   std::function<void(double)> sleep_ms;
@@ -65,15 +69,22 @@ struct ReplicaResult {
 
 class ReplicaSupervisor {
  public:
+  // Throws InvalidArgument when `options` fails validate().
   explicit ReplicaSupervisor(SupervisorOptions options,
                              obs::TelemetryRegistry* telemetry = nullptr);
 
-  // Runs one replica of `config` (optionally instrumented) under the
-  // watchdog + retry policy. Never throws on replica failure: a replica
-  // that keeps failing comes back quarantined.
+  // Rejects a NaN, infinite or steady_clock-overflowing watchdog_s and a
+  // NaN, infinite or negative backoff_ms; the message names the field.
+  static void validate(const SupervisorOptions& options);
+
+  // Runs one replica of `config` under the watchdog + retry policy. Never
+  // throws on replica failure: a replica that keeps failing comes back
+  // quarantined.
   [[nodiscard]] ReplicaResult run(const SimConfig& config);
-  [[nodiscard]] ReplicaResult run(const SimConfig& config,
-                                  const ReplicaInstruments& instruments);
+
+  // One attempt on a caller-built (and instrumented) world: arms the
+  // watchdog, runs to `horizon`, and reports ok with the report, or timeout.
+  [[nodiscard]] AttemptOutcome run_watched(World& world, Second horizon) const;
 
   // Policy core: runs `attempt` until it succeeds or the retry cap is hit,
   // sleeping the backoff schedule in between. Exceptions escaping `attempt`

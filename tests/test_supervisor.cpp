@@ -2,10 +2,12 @@
 // quarantine-instead-of-abort, and the "supervisor/*" telemetry counters.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/supervisor.hpp"
@@ -153,6 +155,30 @@ TEST(Supervisor, TinyWatchdogTimesOutRealReplica) {
   EXPECT_EQ(sleeps, (std::vector<double>{5.0}));
   EXPECT_EQ(telemetry.counter("supervisor/timeouts").value(), 2u);
   EXPECT_EQ(telemetry.counter("supervisor/quarantines").value(), 1u);
+}
+
+TEST(Supervisor, RejectsWatchdogAndBackoffOutsideTheClock) {
+  // A budget past steady_clock's range used to overflow the deadline into
+  // the past (every replica timed out), an infinite backoff overflowed the
+  // sleep, and NaN silently disabled either setting.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double watchdog : {1e10, inf, -inf, nan}) {
+    SupervisorOptions opt;
+    opt.watchdog_s = watchdog;
+    EXPECT_THROW(ReplicaSupervisor{opt}, InvalidArgument) << watchdog;
+  }
+  for (const double backoff : {inf, nan, -1.0}) {
+    SupervisorOptions opt;
+    opt.backoff_ms = backoff;
+    EXPECT_THROW(ReplicaSupervisor{opt}, InvalidArgument) << backoff;
+  }
+  // A large budget that does fit the clock leaves a real replica alone.
+  std::vector<double> sleeps;
+  SupervisorOptions opt = fake_sleep_options(&sleeps, 0);
+  opt.watchdog_s = 1e9;
+  ReplicaSupervisor sup(opt);
+  EXPECT_TRUE(sup.run(small_config()).ok);
 }
 
 TEST(Supervisor, WatchdogStopLeavesWorldResumable) {

@@ -2,52 +2,17 @@
 //
 // Sweeps any set of config keys over value lists, runs the requested number
 // of replicas per grid point, and writes one CSV row per point with means
-// and 95% CIs for the headline metrics. This is the generic engine behind
-// "reproduce figure X with different parameters".
+// and 95% CIs for the headline metrics. Flags: `wrsn_sweep --help`.
 //
-//   wrsn_sweep --sweep KEY=V1,V2,... [--sweep KEY=...]...
-//              [--config FILE] [--set KEY=VALUE]... [--days N] [--seeds N]
-//              [--threads N] [--faults FILE|SPEC] [--csv FILE]
-//              [--telemetry FILE] [--spans PREFIX] [--chrome-trace PREFIX]
-//              [--flight-recorder N]
-//              [--journal DIR] [--resume DIR]
-//              [--watchdog-s S] [--retries N] [--retry-backoff-ms MS]
-//              [--inject-fail POINT,REPLICA] [--list-routers]
-//
-// --threads N (or the `threads` config key / WRSN_THREADS env) is the number
-// of replica workers, capped at points x seeds; the default is hardware
-// concurrency. Each replica runs on one worker, and reports are
-// byte-identical for any worker count.
-//
-// --telemetry FILE aggregates telemetry (event-loop counters, scheduler
-// timing histograms) over every replica of every grid point and writes it
-// as JSON (Prometheus text when FILE ends in .prom).
-//
-// --spans / --chrome-trace take a filename PREFIX, not a single file: every
-// replica writes its own PREFIX.point<P>.rep<R>.jsonl / .json (replicas run
-// concurrently, so they cannot share a sink). --flight-recorder N attaches a
-// per-replica recorder of the last N events, labelled point/rep, dumped to
-// stderr on assert failure or Ctrl-C.
-//
-// Crash safety. Every output file (CSV, telemetry, per-replica span/chrome
-// files) is written to a temp name and atomically renamed into place, so an
-// interrupted sweep never leaves a truncated file under a final name.
-// --journal DIR additionally records each finished (point, replica) cell in
-// an fsync'd append-only journal (DIR/journal.jsonl, schema
-// wrsn.sweep-journal, validated by wrsn_jsonl_check) next to a manifest
-// (DIR/manifest.json) hashing the config x grid; after a crash or kill,
-//   wrsn_sweep ... --resume DIR
-// re-reads the journal, skips every finished cell, and produces output
-// byte-identical to an uninterrupted sweep. Cells that quarantined (below)
-// are not journaled, so a resume retries them.
-//
-// Supervision. Each replica runs under a supervisor (sim/supervisor.hpp):
-// --watchdog-s bounds its wall-clock time (cooperative, event-granular),
-// failures retry with exponential backoff (--retries, --retry-backoff-ms),
-// and a replica that keeps failing is QUARANTINED instead of aborting the
-// sweep: the run completes, prints a `failed_points` section to stderr, and
-// exits 3 (distinct from 1 = hard error). --inject-fail POINT,REPLICA makes
-// that one cell throw on every attempt — the test hook for this machinery.
+// Replicas run on --threads workers and reports are byte-identical for any
+// count; concurrent replicas cannot share a sink, so --spans/--chrome-trace
+// name a per-replica PREFIX. Every output is written atomically (temp +
+// rename), and --journal/--resume record and skip finished cells in an
+// fsync'd wrsn.sweep-journal. Each replica runs under sim/supervisor.hpp
+// (watchdog, retries with backoff); one that keeps failing is quarantined:
+// the sweep completes, lists `failed_points` on stderr and exits 3 (1 is a
+// hard error). See "Resumable sweeps" and "Replica supervision" in
+// docs/ARCHITECTURE.md.
 //
 // Example (Fig. 6 grid):
 //   wrsn_sweep --sweep scheduler=greedy,partition,combined
@@ -66,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/atomic_file.hpp"
 #include "core/binio.hpp"
 #include "core/config_io.hpp"
@@ -73,11 +39,8 @@
 #include "core/json.hpp"
 #include "core/stats.hpp"
 #include "core/thread_pool.hpp"
-#include "net/routing.hpp"
 #include "obs/flight.hpp"
-#include "obs/spans.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/runner.hpp"
 #include "sim/supervisor.hpp"
 #include "sim/world.hpp"
 
@@ -210,96 +173,78 @@ bool find_json_doubles(const std::string& line, const std::string& key,
 }  // namespace
 
 int main(int argc, char** argv) try {
-  SimConfig base = SimConfig::paper_defaults();
+  cli::Options options;
+  SimConfig& base = options.config;
   std::vector<Sweep> sweeps;
   std::size_t seeds = 2;
-  std::string csv_path, telemetry_path, spans_prefix, chrome_prefix;
-  std::size_t flight_capacity = 0;
+  std::string csv_path;
   std::string journal_dir;
   bool resume = false;
   SupervisorOptions sup_options;  // watchdog off, 2 retries, 100 ms backoff
   bool inject_fail = false;
   std::size_t inject_point = 0, inject_replica = 0;
 
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  auto need_value = [&](std::size_t& i) -> const std::string& {
-    WRSN_REQUIRE(i + 1 < args.size(), args[i] + " needs a value");
-    return args[++i];
-  };
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--help" || a == "-h") {
-      std::cout << "see the header of tools/wrsn_sweep.cpp for usage\n"
-                   "`wrsn_sim --list` prints every enum-like knob as a\n"
-                   "ready-made --sweep KEY=V1,V2,... line\n";
-      return 0;
-    }
-    if (a == "--list-routers") {
-      for (const std::string& name : wrsn::routing_names()) std::cout << name << '\n';
-      return 0;
-    }
-    if (a == "--sweep") {
-      const std::string& spec = need_value(i);
-      const auto eq = spec.find('=');
-      WRSN_REQUIRE(eq != std::string::npos, "--sweep expects KEY=V1,V2,...");
-      Sweep sweep;
-      sweep.key = spec.substr(0, eq);
-      sweep.values = split(spec.substr(eq + 1), ',');
-      WRSN_REQUIRE(!sweep.values.empty(), "--sweep needs at least one value");
-      sweeps.push_back(std::move(sweep));
-    } else if (a == "--config") {
-      base = load_config(need_value(i), base);
-    } else if (a == "--set") {
-      const std::string& kv = need_value(i);
-      const auto eq = kv.find('=');
-      WRSN_REQUIRE(eq != std::string::npos, "--set expects KEY=VALUE");
-      config_set(base, kv.substr(0, eq), kv.substr(eq + 1));
-    } else if (a == "--days") {
-      config_set(base, "sim_days", need_value(i));
-    } else if (a == "--threads") {
-      config_set(base, "threads", need_value(i));
-    } else if (a == "--faults") {
-      apply_fault_arg(base, need_value(i));
-    } else if (a == "--seeds") {
-      seeds = parse_u64(a, need_value(i));
-    } else if (a == "--csv") {
-      csv_path = need_value(i);
-    } else if (a == "--telemetry") {
-      telemetry_path = need_value(i);
-    } else if (a == "--spans") {
-      spans_prefix = need_value(i);
-    } else if (a == "--chrome-trace") {
-      chrome_prefix = need_value(i);
-    } else if (a == "--flight-recorder") {
-      flight_capacity = parse_u64(a, need_value(i));
-      WRSN_REQUIRE(flight_capacity > 0, "--flight-recorder must be positive");
-    } else if (a == "--journal") {
-      journal_dir = need_value(i);
-    } else if (a == "--resume") {
-      journal_dir = need_value(i);
-      resume = true;
-    } else if (a == "--watchdog-s") {
-      sup_options.watchdog_s = parse_double(a, need_value(i));
-    } else if (a == "--retries") {
-      sup_options.max_retries = parse_u64(a, need_value(i));
-    } else if (a == "--retry-backoff-ms") {
-      sup_options.backoff_ms = parse_double(a, need_value(i));
-    } else if (a == "--inject-fail") {
-      const std::vector<std::string> pr = split(need_value(i), ',');
-      WRSN_REQUIRE(pr.size() == 2, "--inject-fail expects POINT,REPLICA");
-      inject_fail = true;
-      inject_point = parse_u64(a, pr[0]);
-      inject_replica = parse_u64(a, pr[1]);
-    } else {
-      std::cerr << "unknown option '" << a << "' (try --help)\n";
-      return 2;
-    }
-  }
+  // Supervisor settings are validated as they are given, so the error
+  // names the flag that broke them.
+  auto validate_supervisor = [&sup_options] { ReplicaSupervisor::validate(sup_options); };
+  cli::FlagTable table("wrsn_sweep",
+                       "cross-product experiment driver, one CSV row per grid point");
+  cli::add_config_group(table, options);
+  table.add_group(
+      "wrsn_sweep",
+      {{"--sweep", "KEY=V1,V2,...",
+        "sweep one config key over a value list (repeatable;\n"
+        "see --list for ready-made lines)",
+        [&sweeps](const std::string& spec) {
+          const auto eq = spec.find('=');
+          WRSN_REQUIRE(eq != std::string::npos, "--sweep expects KEY=V1,V2,...");
+          Sweep sweep;
+          sweep.key = spec.substr(0, eq);
+          sweep.values = split(spec.substr(eq + 1), ',');
+          WRSN_REQUIRE(!sweep.values.empty(), "--sweep needs at least one value");
+          sweeps.push_back(std::move(sweep));
+        }},
+       cli::count_flag("--seeds", "N", "replicas per grid point (default 2)", &seeds,
+                       /*positive=*/true),
+       {"--threads", "N", "shorthand for --set threads=N: replica workers",
+        [&base](const std::string& v) { config_set(base, "threads", v); }},
+       cli::text_flag("--csv", "FILE", "write the CSV here instead of stdout",
+                      &csv_path),
+       cli::text_flag("--journal", "DIR",
+                      "record finished cells in DIR/journal.jsonl", &journal_dir),
+       {"--resume", "DIR", "continue the journaled sweep in DIR",
+        [&](const std::string& v) {
+          journal_dir = v;
+          resume = true;
+        }},
+       cli::number_flag("--watchdog-s", "S",
+                        "wall-clock budget per replica attempt (<= 0: off)",
+                        &sup_options.watchdog_s, validate_supervisor),
+       cli::count_flag("--retries", "N", "retries before quarantine (default 2)",
+                       &sup_options.max_retries, /*positive=*/false),
+       cli::number_flag("--retry-backoff-ms", "MS",
+                        "first retry delay, doubling (default 100)",
+                        &sup_options.backoff_ms, validate_supervisor),
+       {"--inject-fail", "POINT,REPLICA",
+        "test hook: that cell throws on every attempt",
+        [&](const std::string& v) {
+          const std::vector<std::string> pr = split(v, ',');
+          WRSN_REQUIRE(pr.size() == 2, "--inject-fail expects POINT,REPLICA");
+          inject_fail = true;
+          inject_point = parse_u64("--inject-fail", pr[0]);
+          inject_replica = parse_u64("--inject-fail", pr[1]);
+        }}});
+  cli::add_observe_group(table, options, /*per_replica=*/true);
+  table.parse(argc, argv);
   WRSN_REQUIRE(!sweeps.empty(), "at least one --sweep is required");
-  WRSN_REQUIRE(seeds > 0, "--seeds must be positive");
 
   std::size_t total_points = 1;
   for (const Sweep& s : sweeps) total_points *= s.values.size();
+  WRSN_REQUIRE(!inject_fail || (inject_point < total_points && inject_replica < seeds),
+               "--inject-fail " + std::to_string(inject_point) + ',' +
+                   std::to_string(inject_replica) + " lies outside the " +
+                   std::to_string(total_points) + " point(s) x " +
+                   std::to_string(seeds) + " replica(s) grid");
   std::cout << "sweeping " << total_points << " grid point(s) x " << seeds
             << " replica(s), " << base.sim_duration.value() / 86400.0
             << " simulated days each\n";
@@ -414,9 +359,7 @@ int main(int argc, char** argv) try {
   const std::size_t workers = std::min(resolve_threads(base.threads), total_tasks);
 
   obs::TelemetryRegistry telemetry;
-  obs::TelemetryRegistry* telemetry_ptr =
-      telemetry_path.empty() ? nullptr : &telemetry;
-  if (telemetry_ptr != nullptr) obs::require_writable(telemetry_path);
+  obs::TelemetryRegistry* telemetry_ptr = options.telemetry(telemetry);
   // Replica-private registries, merged in task order after the parallel
   // phase so the aggregate is independent of completion order. The
   // supervisor's own counters (supervisor/retries, ...) land here too.
@@ -449,7 +392,7 @@ int main(int argc, char** argv) try {
     return os.str();
   };
 
-  if (flight_capacity > 0) {
+  if (options.flight_capacity > 0) {
     obs::FlightRecorder::arm_failure_hook();
     obs::FlightRecorder::arm_signal_handlers();
   }
@@ -466,61 +409,33 @@ int main(int argc, char** argv) try {
     const std::string tag =
         ".point" + std::to_string(point) + ".rep" + std::to_string(replica);
 
-    SupervisorOptions options = sup_options;
     ReplicaSupervisor supervisor(
-        options, telemetry_ptr != nullptr ? &local_telemetry[task] : nullptr);
+        sup_options, telemetry_ptr != nullptr ? &local_telemetry[task] : nullptr);
     // Each attempt opens its own sinks and commits them only on success, so
     // retried attempts never leave partial or duplicated span files.
     const ReplicaResult result = supervisor.supervise([&]() {
       WRSN_REQUIRE(!(inject_fail && point == inject_point && replica == inject_replica),
                    "injected failure (--inject-fail)");
       std::unique_ptr<AtomicFile> spans_file, chrome_file;
-      std::unique_ptr<obs::JsonlSpanSink> spans_sink;
-      std::unique_ptr<obs::ChromeTraceSink> chrome_sink;
-      std::unique_ptr<obs::SpanLog> span_log;
-      std::unique_ptr<obs::FlightRecorder> flight;
-      if (!spans_prefix.empty()) {
-        spans_file = std::make_unique<AtomicFile>(spans_prefix + tag + ".jsonl");
-        spans_sink = std::make_unique<obs::JsonlSpanSink>(spans_file->stream());
+      if (!options.spans_path.empty()) {
+        spans_file = std::make_unique<AtomicFile>(options.spans_path + tag + ".jsonl");
       }
-      if (!chrome_prefix.empty()) {
-        chrome_file = std::make_unique<AtomicFile>(chrome_prefix + tag + ".json");
-        chrome_sink = std::make_unique<obs::ChromeTraceSink>(chrome_file->stream());
+      if (!options.chrome_path.empty()) {
+        chrome_file = std::make_unique<AtomicFile>(options.chrome_path + tag + ".json");
       }
-      if (spans_sink != nullptr || chrome_sink != nullptr) {
-        span_log =
-            std::make_unique<obs::SpanLog>(spans_sink.get(), chrome_sink.get());
-      }
-      if (flight_capacity > 0) {
-        flight = std::make_unique<obs::FlightRecorder>(flight_capacity);
-        flight->set_label("wrsn_sweep" + tag + " seed " + std::to_string(cfg.seed));
-      }
-
-      AttemptOutcome out;
+      const cli::Instruments instruments(
+          spans_file != nullptr ? &spans_file->stream() : nullptr,
+          chrome_file != nullptr ? &chrome_file->stream() : nullptr,
+          options.flight_capacity,
+          "wrsn_sweep" + tag + " seed " + std::to_string(cfg.seed));
       World world(cfg);
-      world.set_telemetry(telemetry_ptr != nullptr ? &local_telemetry[task]
-                                                   : nullptr);
-      world.set_span_log(span_log.get());
-      world.set_flight_recorder(flight.get());
-      if (options.watchdog_s > 0.0) {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(options.watchdog_s));
-        std::uint32_t tick = 0;
-        world.set_checkpoint_hook([deadline, tick](const World&) mutable {
-          if (++tick % 1024 != 0) return false;
-          return std::chrono::steady_clock::now() >= deadline;
-        });
+      instruments.attach(world, telemetry_ptr != nullptr ? &local_telemetry[task]
+                                                         : nullptr);
+      const AttemptOutcome out = supervisor.run_watched(world, cfg.sim_duration);
+      if (out.status != AttemptOutcome::Status::kOk) return out;
+      if (instruments.span_log != nullptr) {
+        instruments.span_log->finish(world.now().value());
       }
-      world.run_until(cfg.sim_duration);
-      if (!world.finished()) {
-        out.status = AttemptOutcome::Status::kTimeout;
-        return out;
-      }
-      out.status = AttemptOutcome::Status::kOk;
-      out.report = world.report();
-      if (span_log != nullptr) span_log->finish(world.now().value());
       if (spans_file != nullptr) spans_file->commit();
       if (chrome_file != nullptr) chrome_file->commit();
       return out;
@@ -599,10 +514,7 @@ int main(int argc, char** argv) try {
   } else {
     std::cout << csv_text.str();
   }
-  if (!telemetry_path.empty()) {
-    obs::write_registry_file(telemetry_path, telemetry);
-    std::cout << "wrote telemetry to " << telemetry_path << '\n';
-  }
+  options.write_telemetry(telemetry, std::cout);
 
   std::size_t failed_cells = 0;
   for (std::size_t task = 0; task < total_tasks; ++task) {
