@@ -22,6 +22,16 @@ class ClusterRotor {
     std::sort(members_.begin(), members_.end());
   }
 
+  // Re-seats the rotor on a new member list (copied, then sorted) with the
+  // cursor back at the start, as a freshly constructed rotor would be. Keeps
+  // the member buffer, so a full recluster re-seats every rotor without
+  // allocating once the buffers are large enough.
+  void reset(const std::vector<SensorId>& members) {
+    members_.assign(members.begin(), members.end());
+    std::sort(members_.begin(), members_.end());
+    cursor_ = 0;
+  }
+
   [[nodiscard]] const std::vector<SensorId>& members() const { return members_; }
   [[nodiscard]] bool empty() const { return members_.empty(); }
   [[nodiscard]] SensorId current() const {

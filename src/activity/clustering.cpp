@@ -9,42 +9,23 @@ namespace wrsn {
 
 namespace {
 
-bool is_eligible(const std::vector<bool>& eligible, SensorId s) {
-  return eligible.empty() || eligible[s];
-}
-
-// Phase 1 of Algorithm 1: candidate sets P(t) per target, loads per sensor,
-// and the candidate pool A.
-struct Candidates {
-  std::vector<std::vector<SensorId>> per_target;  // P
-  std::vector<std::size_t> loads;
-  std::vector<SensorId> pool;  // A
-};
-
-Candidates build_candidates(const std::vector<Vec2>& sensor_pos,
-                            const std::vector<Vec2>& target_pos,
-                            double sensing_range,
-                            const std::vector<bool>& eligible) {
+// Phase 1 of Algorithm 1 by distance scan: P(t) per target in ascending
+// sensor id.
+void scan_candidates(const std::vector<Vec2>& sensor_pos,
+                     const std::vector<Vec2>& target_pos, double sensing_range,
+                     const std::vector<bool>& eligible, ClusterAdmission& out) {
   WRSN_REQUIRE(sensing_range > 0.0, "sensing range must be positive");
   WRSN_REQUIRE(eligible.empty() || eligible.size() == sensor_pos.size(),
                "eligible mask size mismatch");
-  Candidates c;
-  c.per_target.resize(target_pos.size());
-  c.loads.assign(sensor_pos.size(), 0);
+  out.reset(sensor_pos.size());
   const double r2 = sensing_range * sensing_range;
-  for (TargetId t = 0; t < target_pos.size(); ++t) {
+  for (const Vec2& tp : target_pos) {
     for (SensorId s = 0; s < sensor_pos.size(); ++s) {
-      if (!is_eligible(eligible, s)) continue;
-      if (squared_distance(sensor_pos[s], target_pos[t]) <= r2) {
-        c.per_target[t].push_back(s);
-        ++c.loads[s];
-      }
+      if (!eligible.empty() && !eligible[s]) continue;
+      if (squared_distance(sensor_pos[s], tp) <= r2) out.add_candidate(s);
     }
+    out.end_target();
   }
-  for (SensorId s = 0; s < sensor_pos.size(); ++s) {
-    if (c.loads[s] > 0) c.pool.push_back(s);
-  }
-  return c;
 }
 
 }  // namespace
@@ -64,47 +45,90 @@ std::size_t ClusterSet::imbalance() const {
   return any ? hi - lo : 0;
 }
 
+void ClusterAdmission::reset(std::size_t num_sensors) {
+  num_sensors_ = num_sensors;
+  target_begin_.assign(1, 0);
+  target_sensors_.clear();
+}
+
+void ClusterAdmission::add_candidate(SensorId s) {
+  WRSN_REQUIRE(s < num_sensors_, "candidate sensor id out of range");
+  target_sensors_.push_back(s);
+}
+
+void ClusterAdmission::end_target() { target_begin_.push_back(target_sensors_.size()); }
+
+void ClusterAdmission::admit(ClusterSet& out) {
+  const std::size_t n = num_sensors_;
+  const std::size_t m = num_targets();
+  out.members.resize(m);
+  for (auto& members : out.members) members.clear();
+  out.assignment.assign(n, kInvalidId);
+  out.loads.assign(n, 0);
+  std::size_t max_load = 0;
+  for (const SensorId s : target_sensors_) max_load = std::max(max_load, ++out.loads[s]);
+
+  // Candidate targets per sensor, ascending target id: sensor_begin_[s]
+  // starts as the end of s's slice and is walked back while the targets are
+  // visited in descending order.
+  sensor_begin_.resize(n + 1);
+  std::size_t total = 0;
+  for (SensorId s = 0; s < n; ++s) {
+    total += out.loads[s];
+    sensor_begin_[s] = total;
+  }
+  sensor_begin_[n] = total;
+  sensor_targets_.resize(total);
+  for (TargetId t = m; t-- > 0;) {
+    for (const SensorId s : candidates(t)) sensor_targets_[--sensor_begin_[s]] = t;
+  }
+
+  // The pool A: sensors with a candidate, ascending load, ties by id (a
+  // counting sort over the loads).
+  load_begin_.assign(max_load + 2, 0);
+  for (SensorId s = 0; s < n; ++s) {
+    if (out.loads[s] > 0) ++load_begin_[out.loads[s] + 1];
+  }
+  for (std::size_t l = 1; l < load_begin_.size(); ++l) {
+    load_begin_[l] += load_begin_[l - 1];
+  }
+  pool_.resize(load_begin_.back());
+  for (SensorId s = 0; s < n; ++s) {
+    if (out.loads[s] > 0) pool_[load_begin_[out.loads[s]]++] = s;
+  }
+
+  // Phase 2: each sensor joins its candidate cluster with the least key
+  // (size, size == 0 ? target id : -arrival stamp), where the stamp records
+  // when the cluster reached its current size. This is the order a stable
+  // re-sort of all targets by size before every admission yields: a cluster
+  // that just grew lands at the front of its new size class.
+  stamp_.assign(m, 0);
+  std::uint64_t clock = 0;
+  const auto before = [&](TargetId a, TargetId b) {
+    const std::size_t sa = out.members[a].size();
+    const std::size_t sb = out.members[b].size();
+    if (sa != sb) return sa < sb;
+    return sa == 0 ? a < b : stamp_[a] > stamp_[b];
+  };
+  for (const SensorId s : pool_) {
+    TargetId best = sensor_targets_[sensor_begin_[s]];
+    for (std::size_t k = sensor_begin_[s] + 1; k < sensor_begin_[s + 1]; ++k) {
+      if (before(sensor_targets_[k], best)) best = sensor_targets_[k];
+    }
+    out.members[best].push_back(s);
+    out.assignment[s] = best;
+    stamp_[best] = ++clock;
+  }
+}
+
 ClusterSet balanced_clustering(const std::vector<Vec2>& sensor_pos,
                                const std::vector<Vec2>& target_pos,
                                double sensing_range,
                                const std::vector<bool>& eligible) {
-  Candidates cand = build_candidates(sensor_pos, target_pos, sensing_range, eligible);
-
+  ClusterAdmission admission;
+  scan_candidates(sensor_pos, target_pos, sensing_range, eligible, admission);
   ClusterSet out;
-  out.members.resize(target_pos.size());
-  out.assignment.assign(sensor_pos.size(), kInvalidId);
-  out.loads = cand.loads;
-
-  // A sorted ascending by load; ties broken by id for determinism.
-  std::stable_sort(cand.pool.begin(), cand.pool.end(), [&](SensorId a, SensorId b) {
-    return cand.loads[a] < cand.loads[b];
-  });
-
-  // Membership lookup: covered[t] answers "is s in P(t)" in O(1).
-  std::vector<std::vector<bool>> covered(target_pos.size(),
-                                         std::vector<bool>(sensor_pos.size(), false));
-  for (TargetId t = 0; t < target_pos.size(); ++t) {
-    for (SensorId s : cand.per_target[t]) covered[t][s] = true;
-  }
-
-  // Phase 2: each sensor joins the smallest cluster (U ascending, ties by
-  // target id via stable sort) that can use it.
-  std::vector<std::size_t> sizes(target_pos.size(), 0);  // U
-  std::vector<TargetId> order(target_pos.size());
-  for (TargetId t = 0; t < target_pos.size(); ++t) order[t] = t;
-
-  for (SensorId s : cand.pool) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](TargetId a, TargetId b) { return sizes[a] < sizes[b]; });
-    for (TargetId t : order) {
-      if (covered[t][s]) {
-        out.members[t].push_back(s);
-        out.assignment[s] = t;
-        ++sizes[t];
-        break;
-      }
-    }
-  }
+  admission.admit(out);
   return out;
 }
 
@@ -190,15 +214,16 @@ ClusterSet naive_clustering(const std::vector<Vec2>& sensor_pos,
                             const std::vector<Vec2>& target_pos,
                             double sensing_range,
                             const std::vector<bool>& eligible) {
-  Candidates cand = build_candidates(sensor_pos, target_pos, sensing_range, eligible);
+  ClusterAdmission cand;
+  scan_candidates(sensor_pos, target_pos, sensing_range, eligible, cand);
 
   ClusterSet out;
   out.members.resize(target_pos.size());
   out.assignment.assign(sensor_pos.size(), kInvalidId);
-  out.loads = cand.loads;
-
+  out.loads.assign(sensor_pos.size(), 0);
   for (TargetId t = 0; t < target_pos.size(); ++t) {
-    for (SensorId s : cand.per_target[t]) {
+    for (SensorId s : cand.candidates(t)) {
+      ++out.loads[s];
       if (out.assignment[s] == kInvalidId) {
         out.members[t].push_back(s);
         out.assignment[s] = t;

@@ -4,10 +4,20 @@
 // Sensors that can detect at least one target are assigned to exactly one
 // target each, so every target ends up with a cluster of near-equal size.
 // Assignment order is ascending sensor load (number of detectable targets:
-// fewer choices first), and each sensor joins the currently smallest
-// eligible cluster.
+// fewer choices first, ties by sensor id), and each sensor joins its
+// smallest candidate cluster. Among candidate clusters of equal size the one
+// that reached that size most recently wins; clusters that are still empty
+// go by target id.
+//
+// The algorithm runs in two phases. Phase 1 builds the candidate sets P(t)
+// (eligible sensors within sensing range of each target); Phase 2 admits
+// the sensors. ClusterAdmission holds both: the caller fills P(t) from any
+// source (balanced_clustering's distance scan, or the simulator's sensing
+// grid) and admit() runs the one shared Phase 2 kernel.
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -30,9 +40,61 @@ struct ClusterSet {
   [[nodiscard]] std::size_t imbalance() const;
 };
 
-// `eligible[s]` (when non-empty) masks which sensors may be clustered — the
-// simulator passes the alive mask. Runs in O(M*N + |A|*M log M), matching
-// the paper's analysis.
+// Algorithm 1 with caller-fed candidate sets and reusable buffers: a
+// repeated full recluster allocates nothing once the buffers are warm.
+// Phase 1 costs whatever the caller's source costs: O(M*N) for
+// balanced_clustering's scan, O(sum of |P(t)| + grid cells visited) for the
+// simulator's per-target sensing-grid queries. Phase 2 is admit() below.
+//
+//   ClusterAdmission a;
+//   a.reset(num_sensors);
+//   for each target t in id order:
+//     for each eligible sensor s within range of t: a.add_candidate(s);
+//     a.end_target();
+//   a.admit(clusters);
+class ClusterAdmission {
+ public:
+  // Starts Phase 1 over sensors [0, num_sensors): drops every candidate set.
+  void reset(std::size_t num_sensors);
+  // Adds sensor s to P(t) of the target being filled (targets are filled in
+  // id order, starting at 0). A set may list its sensors in any order but
+  // must not list one twice.
+  void add_candidate(SensorId s);
+  // Closes the current target's P(t); the next add_candidate fills the next
+  // target.
+  void end_target();
+
+  [[nodiscard]] std::size_t num_targets() const { return target_begin_.size() - 1; }
+  // P(t) as filled, in insertion order.
+  [[nodiscard]] std::span<const SensorId> candidates(TargetId t) const {
+    return {target_sensors_.data() + target_begin_[t],
+            target_begin_[t + 1] - target_begin_[t]};
+  }
+
+  // Phase 2 over the closed targets: overwrites `out` (its storage is
+  // reused). Runs in O(N + M + sum of loads) for N sensors and M targets.
+  void admit(ClusterSet& out);
+
+ private:
+  std::size_t num_sensors_ = 0;
+  // P(t) for every target, flat: target_sensors_[target_begin_[t] ..
+  // target_begin_[t + 1]).
+  std::vector<std::size_t> target_begin_{0};
+  std::vector<SensorId> target_sensors_;
+  // Admission scratch: the inverse table (candidate targets per sensor), the
+  // load-ordered pool A and the per-cluster arrival stamps.
+  std::vector<std::size_t> sensor_begin_;
+  std::vector<TargetId> sensor_targets_;
+  std::vector<std::size_t> load_begin_;
+  std::vector<SensorId> pool_;
+  std::vector<std::uint64_t> stamp_;
+};
+
+// Algorithm 1 with Phase 1 as a distance scan over every (target, sensor)
+// pair: O(M*N) for candidates, then ClusterAdmission's kernel. The
+// simulator's reference engine uses this scan as the oracle for the grid-fed
+// candidates. `eligible[s]` (when non-empty) masks which sensors may be
+// clustered — the simulator passes the alive mask.
 [[nodiscard]] ClusterSet balanced_clustering(const std::vector<Vec2>& sensor_pos,
                                              const std::vector<Vec2>& target_pos,
                                              double sensing_range,

@@ -81,11 +81,18 @@ void Network::build_routes(const std::vector<bool>& alive_mask) {
 }
 
 bool Network::rebuild_routing() {
-  std::vector<bool> alive(sensors_.size());
-  for (std::size_t i = 0; i < sensors_.size(); ++i) alive[i] = sensors_[i].alive();
-  if (routing_.built() && alive == last_alive_mask_) return false;
-  build_routes(alive);
-  last_alive_mask_ = std::move(alive);
+  // Compare in place: this runs on every recluster, and an unchanged mask
+  // (the common case) must not cost an allocation.
+  bool same = routing_.built() && last_alive_mask_.size() == sensors_.size();
+  for (std::size_t i = 0; same && i < sensors_.size(); ++i) {
+    same = last_alive_mask_[i] == sensors_[i].alive();
+  }
+  if (same) return false;
+  last_alive_mask_.resize(sensors_.size());
+  for (std::size_t i = 0; i < sensors_.size(); ++i) {
+    last_alive_mask_[i] = sensors_[i].alive();
+  }
+  build_routes(last_alive_mask_);
   return true;
 }
 

@@ -15,7 +15,10 @@ void TrafficModel::reset(std::size_t num_sensors) {
   weighted_hops_ = 0.0;
   delivering_rate_ = 0.0;
   delivering_sources_ = 0;
-  routes_.clear();
+  WRSN_REQUIRE(num_sensors < kNoSlot, "too many sensors for the flow slot table");
+  slot_.assign(num_sensors, kNoSlot);
+  flows_.clear();
+  active_ = 0;
 }
 
 void TrafficModel::set_link_model(const LinkConfig& link, double comm_range) {
@@ -110,42 +113,80 @@ void TrafficModel::apply(const SourceFlow& flow, SensorId source, double sign) {
   }
 }
 
+TrafficModel::SourceFlow& TrafficModel::claim_flow(SensorId source,
+                                                   double rate_pps) {
+  if (active_ == flows_.size()) flows_.emplace_back();
+  SourceFlow& flow = flows_[active_];
+  flow.source = source;
+  flow.rate_pps = rate_pps;
+  flow.relay_path.clear();
+  flow.hop_etx.clear();
+  flow.hop_success.clear();
+  flow.path_success = 1.0;
+  slot_[source] = static_cast<std::uint32_t>(active_++);
+  return flow;
+}
+
+void TrafficModel::sort_active(std::vector<std::uint32_t>& order) const {
+  order.resize(active_);
+  for (std::size_t i = 0; i < active_; ++i) order[i] = static_cast<std::uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return flows_[a].source < flows_[b].source;
+  });
+}
+
 void TrafficModel::add_source(const RouteView& routes, SensorId source,
                               double rate_pps) {
   WRSN_REQUIRE(source < tx_rate_.size(), "source id out of range");
   WRSN_REQUIRE(rate_pps >= 0.0, "packet rate must be non-negative");
-  WRSN_REQUIRE(!routes_.contains(source), "source already registered");
+  WRSN_REQUIRE(!has_source(source), "source already registered");
 
-  SourceFlow flow{rate_pps, {}, {}, {}, 1.0};
+  SourceFlow& flow = claim_flow(source, rate_pps);
   if (routes.built() && routes.reachable(source)) {
-    flow.relay_path = routes.path_to_base(source);
-    flow.relay_path.pop_back();  // drop the BS node
+    // Walk the forest up to (excluding) the base station, the one node
+    // without a next hop.
+    for (std::size_t cur = source; routes.next_hop(cur) != kInvalidId;
+         cur = routes.next_hop(cur)) {
+      flow.relay_path.push_back(cur);
+      WRSN_ASSERT(flow.relay_path.size() <= routes.num_nodes(),
+                  "routing forest contains a cycle");
+    }
   }
   capture_link(routes, flow);
   apply(flow, source, +1.0);
-  routes_.emplace(source, std::move(flow));
 }
 
 void TrafficModel::remove_source(SensorId source) {
-  auto it = routes_.find(source);
-  WRSN_REQUIRE(it != routes_.end(), "source not registered");
-  apply(it->second, source, -1.0);
-  routes_.erase(it);
-  if (routes_.empty()) offered_rate_ = 0.0;  // exact quiescence
+  WRSN_REQUIRE(has_source(source), "source not registered");
+  const std::uint32_t i = slot_[source];
+  apply(flows_[i], source, -1.0);
+  // Swap-remove: the last active flow takes the freed slot and the removed
+  // record (with its buffers) becomes the first recycled one.
+  const std::size_t last = --active_;
+  if (i != last) {
+    std::swap(flows_[i], flows_[last]);
+    slot_[flows_[i].source] = i;
+  }
+  slot_[source] = kNoSlot;
+  if (active_ == 0) offered_rate_ = 0.0;  // exact quiescence
 }
 
 void TrafficModel::clear_sources() {
-  for (const auto& [source, flow] : routes_) apply(flow, source, -1.0);
-  routes_.clear();
+  sort_active(order_);
+  for (const std::uint32_t i : order_) apply(flows_[i], flows_[i].source, -1.0);
+  for (std::size_t i = 0; i < active_; ++i) slot_[flows_[i].source] = kNoSlot;
+  active_ = 0;
   offered_rate_ = 0.0;  // exact quiescence
 }
 
 void TrafficModel::reroute(const RouteView& routes) {
-  std::vector<std::pair<SensorId, double>> sources;
-  sources.reserve(routes_.size());
-  for (const auto& [source, flow] : routes_) sources.emplace_back(source, flow.rate_pps);
+  sort_active(order_);
+  reroute_.clear();
+  for (const std::uint32_t i : order_) {
+    reroute_.emplace_back(flows_[i].source, flows_[i].rate_pps);
+  }
   clear_sources();
-  for (const auto& [source, rate] : sources) add_source(routes, source, rate);
+  for (const auto& [source, rate] : reroute_) add_source(routes, source, rate);
 }
 
 void TrafficModel::serialize(BinWriter& w) const {
@@ -156,9 +197,12 @@ void TrafficModel::serialize(BinWriter& w) const {
   w.f64(weighted_hops_);
   w.f64(delivering_rate_);
   w.size(delivering_sources_);
-  w.size(routes_.size());
-  for (const auto& [source, flow] : routes_) {
-    w.u64(static_cast<std::uint64_t>(source));
+  w.size(active_);
+  std::vector<std::uint32_t> order;
+  sort_active(order);
+  for (const std::uint32_t i : order) {
+    const SourceFlow& flow = flows_[i];
+    w.u64(static_cast<std::uint64_t>(flow.source));
     w.f64(flow.rate_pps);
     std::vector<std::uint64_t> path(flow.relay_path.begin(),
                                     flow.relay_path.end());
@@ -179,11 +223,18 @@ void TrafficModel::deserialize(BinReader& r) {
   r.size(delivering_sources_);
   std::size_t n = 0;
   r.size(n);
-  routes_.clear();
+  WRSN_REQUIRE(rx_rate_.size() == tx_rate_.size() && tx_rate_.size() < kNoSlot,
+               "traffic snapshot rate vectors mismatch");
+  WRSN_REQUIRE(n <= tx_rate_.size(), "traffic snapshot lists too many sources");
+  slot_.assign(tx_rate_.size(), kNoSlot);
+  flows_.clear();
+  active_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t source = 0;
     r.u64(source);
-    SourceFlow flow{0.0, {}, {}, {}, 1.0};
+    WRSN_REQUIRE(source < slot_.size() && slot_[source] == kNoSlot,
+                 "traffic snapshot source id out of range or repeated");
+    SourceFlow& flow = claim_flow(static_cast<SensorId>(source), 0.0);
     r.f64(flow.rate_pps);
     std::vector<std::uint64_t> path;
     r.vec(path);
@@ -191,7 +242,6 @@ void TrafficModel::deserialize(BinReader& r) {
     r.vec(flow.hop_etx);
     r.vec(flow.hop_success);
     r.f64(flow.path_success);
-    routes_.emplace(static_cast<SensorId>(source), std::move(flow));
   }
 }
 

@@ -103,7 +103,7 @@ World::World(const SimConfig& config, WorldEngine engine)
   target_index_.init(config_.field_side.value(), config_.sensing_range.value(),
                      current_target_positions());
 
-  recluster();
+  recluster(/*initial=*/true);
 
   // Round-robin handover ticks (only meaningful under the RR policy).
   if (config_.activation == ActivationPolicy::kRoundRobin) {
@@ -592,40 +592,65 @@ std::vector<Vec2> World::current_target_positions() const {
   return target_pos;
 }
 
-void World::recluster() {
-  // Tear down the previous activation state.
+void World::recluster(bool initial) {
+  // Tear down the previous activation state. clear_sources() marks every
+  // old source and relay through the traffic touch log; a sensor whose
+  // monitoring flag drops is marked here.
   traffic_.clear_sources();
-  for (Sensor& s : net_.sensors()) s.monitoring = false;
+  for (Sensor& s : net_.sensors()) {
+    if (!s.monitoring) continue;
+    s.monitoring = false;
+    mark_drain_dirty(s.id);
+  }
 
-  std::vector<bool> alive(net_.num_sensors());
-  for (SensorId s = 0; s < net_.num_sensors(); ++s) alive[s] = soa_.alive(s);
-  const std::vector<Vec2> target_pos = current_target_positions();
-
-  // Sensor positions are static for the whole run, so the SoA block doubles
-  // as the clustering input without a per-recluster copy.
-  clusters_ = balanced_clustering(soa_.pos, target_pos,
-                                  config_.sensing_range.value(), alive);
+  // Algorithm 1. Reference engine: candidates by the O(M*N) distance scan
+  // and coverability by a linear scan, kept as the oracle. Incremental
+  // engine: one sensing-grid query per target gives both — P(t) is the
+  // alive sensors it finds, and t is coverable when it finds any sensor
+  // (the any_covering predicate). Both feed the same admission kernel.
+  const std::size_t m = net_.num_targets();
+  coverable_.assign(m, false);
+  if (engine_ == WorldEngine::kReference) {
+    std::vector<bool> alive(net_.num_sensors());
+    for (SensorId s = 0; s < net_.num_sensors(); ++s) alive[s] = soa_.alive(s);
+    // Sensor positions are static for the whole run, so the SoA block
+    // doubles as the clustering input without a per-recluster copy.
+    clusters_ = balanced_clustering(soa_.pos, current_target_positions(),
+                                    config_.sensing_range.value(), alive);
+    for (TargetId t = 0; t < m; ++t) {
+      coverable_[t] = net_.any_covering_scan(net_.target(t).pos);
+    }
+  } else {
+    admission_.reset(net_.num_sensors());
+    for (TargetId t = 0; t < m; ++t) {
+      bool any = false;
+      net_.for_each_covering(net_.target(t).pos, [&](SensorId s) {
+        any = true;
+        if (soa_.alive(s)) admission_.add_candidate(s);
+      });
+      admission_.end_target();
+      coverable_[t] = any;
+    }
+    admission_.admit(clusters_);
+  }
   for (SensorId s = 0; s < net_.num_sensors(); ++s) {
     net_.sensor(s).assigned_target = clusters_.assignment[s];
   }
 
-  rotors_.assign(net_.num_targets(), ClusterRotor{});
-  active_monitor_.assign(net_.num_targets(), kInvalidId);
-  coverable_.assign(net_.num_targets(), false);
+  rotors_.resize(m);
+  active_monitor_.assign(m, kInvalidId);
 
   net_.rebuild_routing();
 
   const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
-  for (TargetId t = 0; t < net_.num_targets(); ++t) {
-    coverable_[t] = engine_ == WorldEngine::kReference
-                        ? net_.any_covering_scan(net_.target(t).pos)
-                        : net_.any_covering(net_.target(t).pos);
-    rotors_[t] = ClusterRotor(clusters_.members[t]);
+  for (TargetId t = 0; t < m; ++t) {
+    rotors_[t].reset(clusters_.members[t]);
     if (config_.activation == ActivationPolicy::kRoundRobin) {
       const SensorId first =
           rotors_[t].select_first([&](SensorId s) { return operational(s); });
       if (first != kInvalidId) {
         net_.sensor(first).monitoring = true;
+        mark_drain_dirty(first);
         active_monitor_[t] = first;
         traffic_.add_source(net_.routing(), first, rate_pps);
       }
@@ -635,8 +660,16 @@ void World::recluster() {
   }
 
   rebuild_counters();
-  refresh_drains();  // full scan in both engines; clears pending marks
-  for (ClusterId c = 0; c < net_.num_targets(); ++c) evaluate_cluster_requests(c);
+  // Construction sets every drain for the first time: full scan. Later the
+  // incremental engine flushes only the marked sensors — every monitoring
+  // flip and every sensor whose traffic rates changed; all others keep
+  // their drain, so update_drain would be a no-op for them.
+  if (initial) {
+    refresh_drains();
+  } else {
+    request_drain_refresh();
+  }
+  for (ClusterId c = 0; c < m; ++c) evaluate_cluster_requests(c);
   dispatch();
 }
 
@@ -803,6 +836,7 @@ void World::apply_full_time_activation(TargetId t) {
   for (SensorId s : clusters_.members[t]) {
     if (!operational(s)) continue;
     net_.sensor(s).monitoring = true;
+    mark_drain_dirty(s);
     traffic_.add_source(net_.routing(), s, rate_pps);
   }
 }

@@ -261,7 +261,9 @@ class World {
   [[nodiscard]] StateSnapshot snapshot_counters() const;  // O(1)
 
   // --- activity management ---------------------------------------------
-  void recluster();  // global: construction + teleport motion
+  // Global recluster: construction (`initial`: every drain is set for the
+  // first time, so the drain refresh is a full scan) and teleport motion.
+  void recluster(bool initial = false);
   // Scoped re-clustering for a random-waypoint step: only sensors in range
   // of the target's old/new position are re-assigned.
   void recluster_moved_target(TargetId t, Vec2 old_pos);
@@ -327,6 +329,7 @@ class World {
   TrafficModel traffic_;
 
   ClusterSet clusters_;
+  ClusterAdmission admission_;                   // recluster()'s Algorithm 1 buffers
   std::vector<ClusterRotor> rotors_;             // per target
   std::vector<SensorId> active_monitor_;        // per target (RR policy)
   std::vector<bool> coverable_;                  // per target: any sensor in range

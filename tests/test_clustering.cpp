@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "activity/clustering.hpp"
@@ -150,6 +151,166 @@ TEST_P(ClusteringProperty, BalanceAndPoolInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ClusteringProperty,
                          ::testing::Range<std::uint64_t>(0, 25));
+
+// Most-recent-first tie-break: s0 and s1 each see one target, so clusters
+// 0 and 1 both reach size 1, cluster 1 last. s2 sees both and joins the one
+// that reached size 1 most recently (1), not the lower id (0).
+TEST(Clustering, EqualSizeTieGoesToMostRecentlyGrownCluster) {
+  const std::vector<Vec2> sensors = {{-3, 0}, {13, 0}, {5, 0}};
+  const std::vector<Vec2> targets = {{0, 0}, {10, 0}};
+  const ClusterSet cs = balanced_clustering(sensors, targets, 6.0);
+  EXPECT_EQ(cs.loads, (std::vector<std::size_t>{1, 1, 2}));
+  EXPECT_EQ(cs.members[0], (std::vector<SensorId>{0}));
+  EXPECT_EQ(cs.members[1], (std::vector<SensorId>{1, 2}));
+  EXPECT_EQ(cs.assignment[2], 1u);
+}
+
+// Oracle for the admission kernel: balanced_clustering as it was before the
+// kernel, kept verbatim — the O(M*N) candidate scan, then a stable re-sort
+// of all targets by cluster size before every admission.
+ClusterSet resort_clustering(const std::vector<Vec2>& sensor_pos,
+                             const std::vector<Vec2>& target_pos,
+                             double sensing_range,
+                             const std::vector<bool>& eligible) {
+  struct Candidates {
+    std::vector<std::vector<SensorId>> per_target;  // P
+    std::vector<std::size_t> loads;
+    std::vector<SensorId> pool;  // A
+  };
+  const auto is_eligible = [&](SensorId s) {
+    return eligible.empty() || eligible[s];
+  };
+  Candidates cand;
+  cand.per_target.resize(target_pos.size());
+  cand.loads.assign(sensor_pos.size(), 0);
+  const double r2 = sensing_range * sensing_range;
+  for (TargetId t = 0; t < target_pos.size(); ++t) {
+    for (SensorId s = 0; s < sensor_pos.size(); ++s) {
+      if (!is_eligible(s)) continue;
+      if (squared_distance(sensor_pos[s], target_pos[t]) <= r2) {
+        cand.per_target[t].push_back(s);
+        ++cand.loads[s];
+      }
+    }
+  }
+  for (SensorId s = 0; s < sensor_pos.size(); ++s) {
+    if (cand.loads[s] > 0) cand.pool.push_back(s);
+  }
+
+  ClusterSet out;
+  out.members.resize(target_pos.size());
+  out.assignment.assign(sensor_pos.size(), kInvalidId);
+  out.loads = cand.loads;
+
+  // A sorted ascending by load; ties broken by id for determinism.
+  std::stable_sort(cand.pool.begin(), cand.pool.end(), [&](SensorId a, SensorId b) {
+    return cand.loads[a] < cand.loads[b];
+  });
+
+  // Membership lookup: covered[t] answers "is s in P(t)" in O(1).
+  std::vector<std::vector<bool>> covered(target_pos.size(),
+                                         std::vector<bool>(sensor_pos.size(), false));
+  for (TargetId t = 0; t < target_pos.size(); ++t) {
+    for (SensorId s : cand.per_target[t]) covered[t][s] = true;
+  }
+
+  std::vector<std::size_t> sizes(target_pos.size(), 0);  // U
+  std::vector<TargetId> order(target_pos.size());
+  for (TargetId t = 0; t < target_pos.size(); ++t) order[t] = t;
+
+  for (SensorId s : cand.pool) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&](TargetId a, TargetId b) { return sizes[a] < sizes[b]; });
+    for (TargetId t : order) {
+      if (covered[t][s]) {
+        out.members[t].push_back(s);
+        out.assignment[s] = t;
+        ++sizes[t];
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// Differential check of the admission kernel against the re-sort oracle on
+// 2,400 random instances: tie-heavy overlap (many targets in a small
+// field), eligibility masks, targets out of everyone's range, and more
+// targets than sensors. The kernel also runs through one reused
+// ClusterAdmission/ClusterSet pair fed with P(t) in shuffled order, the way
+// the simulator feeds it from unsorted grid cells.
+TEST(Clustering, AdmissionKernelMatchesResortOracle) {
+  Xoshiro256 rng(20150901);
+  ClusterAdmission reused;
+  ClusterSet reused_out;
+  std::size_t ties = 0;
+  for (int inst = 0; inst < 2400; ++inst) {
+    const std::size_t n = rng.uniform_int(61);
+    const std::size_t m = rng.uniform_int(25);
+    // Small fields with a large range give heavily overlapping discs.
+    const double side = 5.0 + rng.uniform(0.0, 60.0);
+    const double r = 2.0 + rng.uniform(0.0, 20.0);
+    const auto sensors = deploy_uniform(n, side, rng);
+    auto targets = deploy_uniform(m, side, rng);
+    for (Vec2& t : targets) {
+      if (rng.uniform() < 0.1) t = {side + 10.0 * r, side + 10.0 * r};  // unreachable
+    }
+    std::vector<bool> eligible;
+    if (rng.uniform() < 0.5) {
+      const double p = rng.uniform();
+      for (std::size_t s = 0; s < n; ++s) eligible.push_back(rng.uniform() < p);
+    }
+
+    const ClusterSet want = resort_clustering(sensors, targets, r, eligible);
+    const ClusterSet got = balanced_clustering(sensors, targets, r, eligible);
+    ASSERT_EQ(got.members, want.members) << "instance " << inst;
+    ASSERT_EQ(got.assignment, want.assignment) << "instance " << inst;
+    ASSERT_EQ(got.loads, want.loads) << "instance " << inst;
+
+    reused.reset(n);
+    std::vector<SensorId> p_t;
+    for (TargetId t = 0; t < m; ++t) {
+      p_t.clear();
+      for (SensorId s = 0; s < n; ++s) {
+        if ((eligible.empty() || eligible[s]) &&
+            squared_distance(sensors[s], targets[t]) <= r * r) {
+          p_t.push_back(s);
+        }
+      }
+      for (std::size_t i = p_t.size(); i > 1; --i) {
+        std::swap(p_t[i - 1], p_t[rng.uniform_int(i)]);
+      }
+      for (const SensorId s : p_t) reused.add_candidate(s);
+      reused.end_target();
+    }
+    reused.admit(reused_out);
+    ASSERT_EQ(reused_out.members, want.members) << "instance " << inst;
+    ASSERT_EQ(reused_out.assignment, want.assignment) << "instance " << inst;
+    ASSERT_EQ(reused_out.loads, want.loads) << "instance " << inst;
+
+    // Count instances where some admitted sensor faced an equal-size tie
+    // between non-empty clusters, so the sweep provably exercises the
+    // most-recent-first rule.
+    std::vector<std::size_t> size(m, 0);
+    std::vector<std::pair<std::size_t, SensorId>> order;
+    for (SensorId s = 0; s < n; ++s) {
+      if (want.loads[s] > 0) order.emplace_back(want.loads[s], s);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    bool tie = false;
+    for (const auto& [load, s] : order) {
+      const TargetId joined = want.assignment[s];
+      for (TargetId t = 0; t < m && !tie; ++t) {
+        tie = t != joined && size[t] == size[joined] && size[t] > 0 &&
+              squared_distance(sensors[s], targets[t]) <= r * r;
+      }
+      ++size[joined];
+    }
+    ties += tie ? 1 : 0;
+  }
+  EXPECT_GE(ties, 200u) << "too few instances exercise the tie-break";
+}
 
 TEST(Clustering, DeterministicOutput) {
   Xoshiro256 rng(77);

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <string>
 
+#include "core/binio.hpp"
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "net/graph.hpp"
 #include "net/routing.hpp"
 #include "net/traffic.hpp"
@@ -289,6 +295,202 @@ TEST_F(LossyTrafficTest, LosslessConfigMatchesLegacyAccounting) {
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), plain.delivery_rate());
   EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(),
                    plain.average_delivery_hops());
+}
+
+// --- slot table ----------------------------------------------------------
+
+// 4x4 sensor grid at 10 m spacing (range 12 m: 4-neighbour links only), BS
+// just right of the bottom-right sensor, so sources have paths of 1-7 hops
+// sharing relays. Rates are dyadic, so every rate sum is exact whatever the
+// order of registration.
+class TrafficSlotTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (int y = 0; y < 4; ++y) {
+      for (int x = 0; x < 4; ++x) positions_.push_back({10.0 * x, 10.0 * y});
+    }
+    graph_ = CommGraph(positions_, Vec2{40, 0}, 12.0);
+    positions_.push_back({40, 0});
+    const std::vector<bool> usable(kSensors, true);
+    RoutingRegistry::instance().create("shortest_path")->build(
+        RoutingBuildInput{&graph_, &positions_, &usable}, tree_);
+  }
+
+  static double rate(SensorId s) { return 0.125 * static_cast<double>(1 + s % 4); }
+
+  void add(TrafficModel& m, SensorId s) const { m.add_source(tree_, s, rate(s)); }
+
+  static std::string bytes(const TrafficModel& m) {
+    BinWriter w;
+    m.serialize(w);
+    return w.take();
+  }
+
+  static constexpr std::size_t kSensors = 16;
+  std::vector<Vec2> positions_;
+  CommGraph graph_;
+  RouteTable tree_;
+};
+
+TEST_F(TrafficSlotTest, ScrambledRegistrationSerializesLikeAscending) {
+  TrafficModel ascending(kSensors);
+  for (const SensorId s : {0, 3, 6, 9, 12, 15}) add(ascending, s);
+
+  TrafficModel scrambled(kSensors);
+  for (const SensorId s : {15, 4, 9}) add(scrambled, s);
+  scrambled.clear_sources();
+  for (const SensorId s : {12, 9, 0, 7, 15, 3, 6, 1}) add(scrambled, s);
+  scrambled.remove_source(7);  // a middle slot: the last flow moves into it
+  scrambled.remove_source(1);  // the last slot
+
+  EXPECT_EQ(scrambled.num_sources(), ascending.num_sources());
+  EXPECT_EQ(bytes(scrambled), bytes(ascending));
+}
+
+// With rates that are not dyadic the relay sums carry rounding residue that
+// depends on the order of subtraction, so clear_sources() and reroute()
+// must walk sources in ascending id, whatever order they were registered
+// in: a restored run replays them in that order.
+TEST_F(TrafficSlotTest, ClearAndRerouteWalkSourcesInAscendingId) {
+  const std::vector<SensorId> scrambled = {12, 3, 15, 0, 9, 6, 13, 2};
+  const auto odd_rate = [](SensorId s) { return 0.1 * static_cast<double>(s + 1) / 3.0; };
+  const auto registered = [&] {
+    TrafficModel m(kSensors);
+    for (const SensorId s : scrambled) m.add_source(tree_, s, odd_rate(s));
+    return m;
+  };
+  std::vector<SensorId> ascending = scrambled;
+  std::sort(ascending.begin(), ascending.end());
+
+  TrafficModel cleared = registered();
+  cleared.clear_sources();
+  TrafficModel removed = registered();
+  for (const SensorId s : ascending) removed.remove_source(s);
+  EXPECT_EQ(bytes(cleared), bytes(removed));
+
+  TrafficModel rerouted = registered();
+  rerouted.reroute(tree_);
+  TrafficModel readded = registered();
+  for (const SensorId s : ascending) readded.remove_source(s);
+  for (const SensorId s : ascending) readded.add_source(tree_, s, odd_rate(s));
+  EXPECT_EQ(bytes(rerouted), bytes(readded));
+}
+
+TEST_F(TrafficSlotTest, SwapRemovalKeepsMembership) {
+  TrafficModel m(kSensors);
+  std::set<SensorId> live;
+  const auto check = [&] {
+    EXPECT_EQ(m.num_sources(), live.size());
+    for (SensorId s = 0; s < kSensors; ++s) {
+      EXPECT_EQ(m.has_source(s), live.contains(s)) << "sensor " << s;
+    }
+  };
+  for (const SensorId s : {2, 5, 8, 11, 14}) {
+    add(m, s);
+    live.insert(s);
+  }
+  check();
+  for (const SensorId s : {2, 14, 8}) {  // first slot, last slot, middle
+    m.remove_source(s);
+    live.erase(s);
+    check();
+  }
+  EXPECT_THROW(m.remove_source(8), InvalidArgument);
+  EXPECT_FALSE(m.has_source(99));
+  add(m, 2);
+  live.insert(2);
+  check();
+  EXPECT_THROW(add(m, 5), InvalidArgument);
+
+  TrafficModel fresh(kSensors);
+  for (const SensorId s : live) add(fresh, s);
+  EXPECT_EQ(bytes(m), bytes(fresh));
+}
+
+TEST_F(TrafficSlotTest, SnapshotRoundTrip) {
+  LinkConfig link;
+  link.enabled = true;
+  link.loss_floor = 0.01;
+  link.loss_at_range = 0.3;
+  TrafficModel m(kSensors);
+  m.set_link_model(link, 12.0);
+  for (const SensorId s : {13, 1, 10, 6, 4}) add(m, s);
+  m.remove_source(1);
+
+  TrafficModel restored;
+  restored.set_link_model(link, 12.0);
+  const std::string saved = bytes(m);
+  BinReader r(saved);
+  restored.deserialize(r);
+  r.expect_end();
+  EXPECT_EQ(bytes(restored), saved);
+  EXPECT_EQ(restored.num_sources(), 4u);
+  for (SensorId s = 0; s < kSensors; ++s) {
+    EXPECT_EQ(restored.has_source(s), m.has_source(s)) << "sensor " << s;
+  }
+  // The restored slot table addresses the same flows.
+  m.remove_source(10);
+  restored.remove_source(10);
+  add(m, 1);
+  add(restored, 1);
+  EXPECT_EQ(bytes(restored), bytes(m));
+}
+
+TEST_F(TrafficSlotTest, SnapshotRejectsBadSourceIds) {
+  const auto encode = [](std::uint64_t first, std::uint64_t second) {
+    BinWriter w;
+    w.vec(std::vector<double>(kSensors, 0.0));
+    w.vec(std::vector<double>(kSensors, 0.0));
+    for (int i = 0; i < 4; ++i) w.f64(0.0);
+    w.size(0);
+    w.size(2);
+    for (const std::uint64_t source : {first, second}) {
+      w.u64(source);
+      w.f64(0.25);
+      w.vec(std::vector<std::uint64_t>{});
+      w.vec(std::vector<double>{});
+      w.vec(std::vector<double>{});
+      w.f64(1.0);
+    }
+    return w.take();
+  };
+  const auto load = [](const std::string& b) {
+    TrafficModel m;
+    BinReader r(b);
+    m.deserialize(r);
+    return m.num_sources();
+  };
+  EXPECT_EQ(load(encode(3, 5)), 2u);
+  EXPECT_THROW(load(encode(3, 3)), InvalidArgument);
+  EXPECT_THROW(load(encode(3, kSensors)), InvalidArgument);
+}
+
+TEST_F(TrafficSlotTest, RecycledBuffersBoundedByPeakSources) {
+  TrafficModel m(kSensors);
+  Xoshiro256 rng(7);
+  std::set<SensorId> live;
+  std::size_t peak = 0;
+  for (int step = 0; step < 2000; ++step) {
+    const SensorId s = rng.uniform_int(kSensors);
+    // Drift the load up and down so the peak moves through several levels.
+    const bool grow = rng.uniform() < (step % 500 < 250 ? 0.7 : 0.3);
+    if (step % 97 == 96) {
+      m.clear_sources();
+      live.clear();
+    } else if (live.contains(s)) {
+      if (!grow) {
+        m.remove_source(s);
+        live.erase(s);
+      }
+    } else if (grow) {
+      add(m, s);
+      live.insert(s);
+    }
+    peak = std::max(peak, live.size());
+    ASSERT_EQ(m.num_sources(), live.size());
+    ASSERT_EQ(m.flow_buffers(), peak) << "step " << step;
+  }
+  EXPECT_GT(peak, 8u);
 }
 
 }  // namespace
