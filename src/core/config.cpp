@@ -66,15 +66,13 @@ void SimConfig::validate() const {
       fault.request_retry_backoff, fault.rv_mtbf_hours,
       fault.rv_repair_duration.value(), fault.rv_breakdown_at.value(),
       fault.sensor_fault_rate_per_day, fault.sensor_fault_duration.value(),
-      fault.battery_noise_per_day, link.loss_floor, link.loss_at_range,
-      link.loss_exponent, link.rx_duty_tax};
+      fault.battery_noise_per_day};
   for (const double v : finite_checks) {
     WRSN_REQUIRE(std::isfinite(v), "configuration values must be finite");
   }
   // Registry membership is checked where the name is resolved (config_io
   // parsing and World construction); core only rejects the trivially bad.
   WRSN_REQUIRE(!scheduler.empty(), "scheduler name must be non-empty");
-  WRSN_REQUIRE(!routing.empty(), "routing policy name must be non-empty");
   WRSN_REQUIRE(event_queue == "auto" || event_queue == "calendar" ||
                    event_queue == "heap",
                "event_queue must be one of: auto, calendar, heap");
@@ -144,14 +142,6 @@ void SimConfig::validate() const {
   WRSN_REQUIRE(fault.battery_noise_per_day >= 0.0 &&
                    fault.battery_noise_per_day < 1.0,
                "battery noise per day must lie in [0,1)");
-  WRSN_REQUIRE(link.loss_floor >= 0.0 && link.loss_floor <= 1.0,
-               "link loss floor must lie in [0,1]");
-  WRSN_REQUIRE(link.loss_at_range >= 0.0 && link.loss_at_range <= 1.0,
-               "link loss at range must lie in [0,1]");
-  WRSN_REQUIRE(link.loss_exponent > 0.0, "link loss exponent must be positive");
-  WRSN_REQUIRE(link.max_retx >= 1, "link max retransmissions must be at least 1");
-  WRSN_REQUIRE(link.rx_duty_tax >= 0.0 && link.rx_duty_tax <= 1.0,
-               "link rx duty tax must lie in [0,1]");
 }
 
 }  // namespace wrsn

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "core/error.hpp"
-#include "net/routing.hpp"
 #include "sched/policy.hpp"
 
 namespace wrsn {
@@ -63,14 +62,6 @@ std::string parse_scheduler(const std::string& v) {
   if (!SchedulerRegistry::instance().contains(v)) {
     throw InvalidArgument("unknown scheduler '" + v +
                           "' (valid: " + join_names(scheduler_names()) + ")");
-  }
-  return v;
-}
-
-std::string parse_routing(const std::string& v) {
-  if (!RoutingRegistry::instance().contains(v)) {
-    throw InvalidArgument("unknown routing policy '" + v +
-                          "' (valid: " + join_names(routing_names()) + ")");
   }
   return v;
 }
@@ -147,8 +138,6 @@ const std::vector<KeyHandler>& handlers() {
        }},
       {"scheduler", [](const SimConfig& c) { return c.scheduler; },
        [](SimConfig& c, const std::string& v) { c.scheduler = parse_scheduler(trim(v)); }},
-      {"routing", [](const SimConfig& c) { return c.routing; },
-       [](SimConfig& c, const std::string& v) { c.routing = parse_routing(trim(v)); }},
       {"event_queue", [](const SimConfig& c) { return c.event_queue; },
        [](SimConfig& c, const std::string& v) {
          const std::string name = trim(v);
@@ -356,36 +345,6 @@ const std::vector<KeyHandler>& handlers() {
        [](SimConfig& c, const std::string& v) {
          c.fault.battery_noise_per_day =
              parse_double("fault.battery_noise_per_day", v);
-       }},
-      {"link.enabled",
-       [](const SimConfig& c) { return c.link.enabled ? "true" : "false"; },
-       [](SimConfig& c, const std::string& v) {
-         c.link.enabled = parse_bool("link.enabled", v);
-       }},
-      {"link.loss_floor",
-       [](const SimConfig& c) { return fmt(c.link.loss_floor); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.loss_floor = parse_double("link.loss_floor", v);
-       }},
-      {"link.loss_at_range",
-       [](const SimConfig& c) { return fmt(c.link.loss_at_range); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.loss_at_range = parse_double("link.loss_at_range", v);
-       }},
-      {"link.loss_exponent",
-       [](const SimConfig& c) { return fmt(c.link.loss_exponent); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.loss_exponent = parse_double("link.loss_exponent", v);
-       }},
-      {"link.max_retx",
-       [](const SimConfig& c) { return std::to_string(c.link.max_retx); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.max_retx = parse_u64("link.max_retx", v);
-       }},
-      {"link.rx_duty_tax",
-       [](const SimConfig& c) { return fmt(c.link.rx_duty_tax); },
-       [](SimConfig& c, const std::string& v) {
-         c.link.rx_duty_tax = parse_double("link.rx_duty_tax", v);
        }},
       {"seed", [](const SimConfig& c) { return std::to_string(c.seed); },
        [](SimConfig& c, const std::string& v) { c.seed = parse_u64("seed", v); }},

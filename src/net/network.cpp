@@ -32,9 +32,6 @@ Network::Network(const SimConfig& config, Xoshiro256& deploy_rng,
   }
 
   graph_ = CommGraph(positions, base_station_, config.comm_range.value());
-  node_positions_ = std::move(positions);
-  node_positions_.push_back(base_station_);
-  router_ = RoutingRegistry::instance().create(config_.routing);
   rebuild_routing();
 }
 
@@ -72,14 +69,6 @@ void Network::set_target_position(TargetId id, Vec2 pos) {
   targets_[id].pos = pos;
 }
 
-void Network::build_routes(const std::vector<bool>& alive_mask) {
-  RoutingBuildInput in;
-  in.graph = &graph_;
-  in.positions = &node_positions_;
-  in.usable = &alive_mask;
-  router_->build(in, routing_);
-}
-
 bool Network::rebuild_routing() {
   // Compare in place: this runs on every recluster, and an unchanged mask
   // (the common case) must not cost an allocation.
@@ -92,14 +81,14 @@ bool Network::rebuild_routing() {
   for (std::size_t i = 0; i < sensors_.size(); ++i) {
     last_alive_mask_[i] = sensors_[i].alive();
   }
-  build_routes(last_alive_mask_);
+  routing_.build(graph_, last_alive_mask_);
   return true;
 }
 
 void Network::restore_routing(const std::vector<bool>& alive_mask) {
   WRSN_REQUIRE(alive_mask.size() == sensors_.size(),
                "alive mask size mismatch");
-  build_routes(alive_mask);
+  routing_.build(graph_, alive_mask);
   last_alive_mask_ = alive_mask;
 }
 

@@ -1,10 +1,8 @@
 #pragma once
 // The deployed network: N sensors uniform over the field, M mobile targets,
 // a base station at the field centre (Section II-A), the communication
-// graph, and a BS-rooted routing forest over alive sensors, built by the
-// RoutingPolicy named in SimConfig::routing.
+// graph, and the BS-rooted Dijkstra routing forest over alive sensors.
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -78,8 +76,8 @@ class Network {
   // Checkpoint support: the mask the current routing forest was built from.
   // Can lag the actual alive flags (a death crossing may be pending), so a
   // restore must rebuild routing from this serialized mask, not from the
-  // restored sensors. The policy itself is config (SimConfig::routing), so
-  // rebuilding through it reproduces the checkpointed forest exactly.
+  // restored sensors. Dijkstra is a pure function of the graph and the mask,
+  // so rebuilding reproduces the checkpointed forest exactly.
   [[nodiscard]] const std::vector<bool>& last_alive_mask() const {
     return last_alive_mask_;
   }
@@ -94,12 +92,8 @@ class Network {
   std::vector<Target> targets_;
   SpatialGrid sensing_grid_;  // sensor positions, for coverage queries
   CommGraph graph_;
-  std::vector<Vec2> node_positions_;  // sensors then BS, graph node order
-  std::unique_ptr<RoutingPolicy> router_;
   RouteTable routing_;
   std::vector<bool> last_alive_mask_;
-
-  void build_routes(const std::vector<bool>& alive_mask);
 };
 
 }  // namespace wrsn

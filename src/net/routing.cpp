@@ -2,18 +2,19 @@
 
 #include <limits>
 #include <queue>
-#include <sstream>
+#include <string>
 
 #include "core/error.hpp"
-#include "net/routers/builtin.hpp"
 
 namespace wrsn {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-ShortestPaths run_dijkstra(const CommGraph& graph, std::size_t source,
-                           const std::vector<bool>& usable_in) {
+// Fills dist/parent in place so a rebuild reuses the table's storage.
+void run_dijkstra(const CommGraph& graph, std::size_t source,
+                  const std::vector<bool>& usable_in, std::vector<double>& dist,
+                  std::vector<std::size_t>& parent) {
   const std::size_t n = graph.num_nodes();
   WRSN_REQUIRE(source < n, "dijkstra source out of range");
   WRSN_REQUIRE(usable_in.size() == n || usable_in.size() + 1 == n,
@@ -24,85 +25,49 @@ ShortestPaths run_dijkstra(const CommGraph& graph, std::size_t source,
     return node < usable_in.size() ? static_cast<bool>(usable_in[node]) : true;
   };
 
-  ShortestPaths out;
-  out.dist.assign(n, kInf);
-  out.parent.assign(n, kInvalidId);
-  if (!usable(source)) return out;
+  dist.assign(n, kInf);
+  parent.assign(n, kInvalidId);
+  if (!usable(source)) return;
 
   using Item = std::pair<double, std::size_t>;  // (dist, node)
   std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  out.dist[source] = 0.0;
+  dist[source] = 0.0;
   heap.emplace(0.0, source);
   while (!heap.empty()) {
     const auto [d, u] = heap.top();
     heap.pop();
-    if (d > out.dist[u]) continue;  // stale entry
+    if (d > dist[u]) continue;  // stale entry
     for (const CommGraph::Edge& e : graph.neighbors(u)) {
       if (!usable(e.to)) continue;
       const double nd = d + e.length;
-      if (nd < out.dist[e.to]) {
-        out.dist[e.to] = nd;
-        out.parent[e.to] = u;
+      if (nd < dist[e.to]) {
+        dist[e.to] = nd;
+        parent[e.to] = u;
         heap.emplace(nd, e.to);
       }
     }
   }
-  return out;
-}
-
-std::string join_names(const std::vector<std::string>& names) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    os << (i ? ", " : "") << names[i];
-  }
-  return os.str();
 }
 
 }  // namespace
 
 ShortestPaths dijkstra(const CommGraph& graph, std::size_t source,
                        const std::vector<bool>& usable) {
-  return run_dijkstra(graph, source, usable);
+  ShortestPaths out;
+  run_dijkstra(graph, source, usable, out.dist, out.parent);
+  return out;
 }
 
-bool router_usable(const CommGraph& graph, const std::vector<bool>& usable,
-                   std::size_t node) {
-  if (node == graph.base_station_index()) return true;
-  return node < usable.size() ? static_cast<bool>(usable[node]) : true;
+void RouteTable::build(const CommGraph& graph, const std::vector<bool>& usable) {
+  run_dijkstra(graph, graph.base_station_index(), usable, dist_, parent_);
 }
 
-std::vector<double> tree_distances(const std::vector<std::size_t>& parent,
-                                   const std::vector<Vec2>& positions,
-                                   std::size_t root) {
-  const std::size_t n = parent.size();
-  WRSN_REQUIRE(positions.size() == n,
-               "tree_distances needs one position per node");
-  std::vector<double> dist(n, kInf);
-  dist[root] = 0.0;
-  // Resolve each node by chasing parents to a node with a known distance,
-  // then unwind so d(child) = d(parent) + hop accumulates root -> leaf —
-  // the same association order Dijkstra's relaxations produce.
-  std::vector<std::size_t> chain;
-  for (std::size_t start = 0; start < n; ++start) {
-    if (dist[start] < kInf || parent[start] == kInvalidId) continue;
-    chain.clear();
-    std::size_t cur = start;
-    while (parent[cur] != kInvalidId && dist[cur] == kInf) {
-      chain.push_back(cur);
-      cur = parent[cur];
-      WRSN_ASSERT(chain.size() <= n, "routing forest contains a cycle");
-    }
-    if (dist[cur] == kInf) continue;  // chain ends at an unreachable node
-    for (std::size_t i = chain.size(); i-- > 0;) {
-      const std::size_t node = chain[i];
-      dist[node] =
-          dist[parent[node]] + distance(positions[node], positions[parent[node]]);
-    }
-  }
-  return dist;
+bool RouteTable::reachable(std::size_t node) const {
+  WRSN_ASSERT(node < dist_.size(), "routing query out of range");
+  return dist_[node] < kInf;
 }
 
-std::optional<std::size_t> RouteView::hops_to_base(std::size_t node) const {
+std::optional<std::size_t> RouteTable::hops_to_base(std::size_t node) const {
   if (!reachable(node)) return std::nullopt;
   std::size_t hops = 0;
   for (std::size_t cur = node; next_hop(cur) != kInvalidId;
@@ -113,7 +78,7 @@ std::optional<std::size_t> RouteView::hops_to_base(std::size_t node) const {
   return hops;
 }
 
-std::vector<std::size_t> RouteView::path_to_base(std::size_t node) const {
+std::vector<std::size_t> RouteTable::path_to_base(std::size_t node) const {
   std::vector<std::size_t> path;
   if (!reachable(node)) return path;
   for (std::size_t cur = node;; cur = next_hop(cur)) {
@@ -124,96 +89,19 @@ std::vector<std::size_t> RouteView::path_to_base(std::size_t node) const {
   return path;
 }
 
-void RouteTable::assign(std::vector<std::size_t> parent,
-                        std::vector<double> dist,
-                        const std::vector<Vec2>& positions) {
-  WRSN_REQUIRE(parent.size() == dist.size(),
-               "route table parent/dist size mismatch");
-  WRSN_REQUIRE(positions.size() == parent.size(),
-               "route table needs one position per node");
-  parent_ = std::move(parent);
-  dist_ = std::move(dist);
-  hop_len_.assign(parent_.size(), 0.0);
-  for (std::size_t n = 0; n < parent_.size(); ++n) {
-    if (parent_[n] != kInvalidId) {
-      hop_len_[n] = distance(positions[n], positions[parent_[n]]);
-    }
-  }
+// --- e2ebench setup-replay stubs (see routing.hpp) ---------------------------
+const RoutingRegistry& RoutingRegistry::instance() {
+  static const RoutingRegistry registry;
+  return registry;
 }
 
-bool RouteTable::reachable(std::size_t node) const {
-  WRSN_ASSERT(node < dist_.size(), "routing query out of range");
-  return dist_[node] < kInf;
-}
-
-RoutingRegistry& RoutingRegistry::instance() {
-  static RoutingRegistry* registry = [] {
-    auto* r = new RoutingRegistry();
-    // The paper's Dijkstra tree first (the default), then the alternative
-    // topologies — the order names() reports and the docs table uses.
-    register_shortest_path_router(*r);
-    register_greedy_geo_router(*r);
-    register_mst_backbone_router(*r);
-    register_cluster_backbone_router(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void RoutingRegistry::add(std::string name, std::string summary,
-                          Factory factory) {
-  WRSN_REQUIRE(!name.empty(), "routing policy name must be non-empty");
-  WRSN_REQUIRE(factory != nullptr,
-               "routing policy '" + name + "' needs a factory");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    WRSN_REQUIRE(e.name != name,
-                 "routing policy '" + name + "' is already registered");
-  }
-  entries_.push_back({std::move(name), std::move(summary), factory});
-}
-
-bool RoutingRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.name == name) return true;
-  }
-  return false;
-}
-
-std::unique_ptr<RoutingPolicy> RoutingRegistry::create(
-    const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.name == name) return e.factory();
-    }
-  }
-  throw InvalidArgument("unknown routing policy '" + name +
-                        "' (valid: " + join_names(names()) + ")");
-}
-
-std::vector<std::string> RoutingRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.name);
-  return out;
-}
-
-std::string RoutingRegistry::summary(const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.name == name) return e.summary;
-    }
-  }
-  throw InvalidArgument("unknown routing policy '" + name +
-                        "' (valid: " + join_names(names()) + ")");
-}
-
-std::vector<std::string> routing_names() {
-  return RoutingRegistry::instance().names();
+const RoutingRegistry::DijkstraTree* RoutingRegistry::create(
+    std::string_view name) const {
+  static const DijkstraTree tree;
+  WRSN_REQUIRE(name == "shortest_path",
+               "unknown routing policy '" + std::string(name) +
+                   "' (only shortest_path exists)");
+  return &tree;
 }
 
 }  // namespace wrsn

@@ -1,23 +1,18 @@
 #pragma once
-// Pluggable routing layer.
+// BS-rooted routing forest (Section II-A: every active monitor forwards its
+// packets to the base station along a shortest path).
 //
-// The data plane only ever routes towards the base station, so every routing
-// scheme reduces to a BS-rooted next-hop forest over the currently usable
-// nodes. A RoutingPolicy is a strategy that builds that forest into a
-// RouteTable; consumers (TrafficModel, stats, the World) only see the narrow
-// RouteView contract — next-hop, path, reachability and hop distance — so
-// swapping the scheme never touches them. Policies are selected by name
-// through the string-keyed RoutingRegistry (mirroring SchedulerRegistry):
-// the paper's Dijkstra tree is the default `shortest_path` policy, and a new
-// scheme is one file in src/net/routers/ plus one registration line.
-//
-// The table is rebuilt when the set of alive nodes changes (death /
-// recharge-revival), which is rare compared with activation rotations.
+// The data plane only ever routes towards the base station, so routing is one
+// next-hop forest over the currently usable nodes: Dijkstra from the base
+// station, each sensor's parent being its predecessor on a shortest path. The
+// table is rebuilt when the set of alive nodes changes (death /
+// recharge-revival), which is rare compared with activation rotations. The
+// build is a pure function of the graph and the usable mask (no RNG, no state
+// across builds), so a snapshot restore re-runs it on the serialized mask and
+// gets the checkpointed forest back bit for bit.
 
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -26,127 +21,43 @@
 
 namespace wrsn {
 
-// Read-only routing contract the traffic/statistics layers consume. All
-// queries address graph node indices ([0, N) sensors, N the base station).
-class RouteView {
+// Parent pointers and per-node route distance of the BS-rooted Dijkstra
+// forest. All queries address graph node indices ([0, N) sensors, N the base
+// station).
+class RouteTable {
  public:
-  virtual ~RouteView() = default;
+  // Runs Dijkstra from the base station over the usable nodes. `usable`
+  // covers the sensors (the base station is always usable).
+  void build(const CommGraph& graph, const std::vector<bool>& usable);
 
-  [[nodiscard]] virtual bool built() const = 0;
-  [[nodiscard]] virtual std::size_t num_nodes() const = 0;
+  [[nodiscard]] bool built() const { return !parent_.empty(); }
+  [[nodiscard]] std::size_t num_nodes() const { return parent_.size(); }
   // True when the node can reach the base station through usable relays.
-  [[nodiscard]] virtual bool reachable(std::size_t node) const = 0;
+  [[nodiscard]] bool reachable(std::size_t node) const;
   // Next hop towards the base station (kInvalidId for the BS itself or
   // unreachable nodes).
-  [[nodiscard]] virtual std::size_t next_hop(std::size_t node) const = 0;
-  // Route length (metres) to the base station along this policy's forest;
-  // infinity if unreachable. For `shortest_path` this is the Dijkstra
-  // distance.
-  [[nodiscard]] virtual double distance_to_base(std::size_t node) const = 0;
-  // Length (metres) of the node -> next_hop(node) link; 0 when there is none.
-  // The link-quality layer derives per-hop loss from this.
-  [[nodiscard]] virtual double hop_length(std::size_t node) const = 0;
-
+  [[nodiscard]] std::size_t next_hop(std::size_t node) const {
+    return parent_[node];
+  }
+  // Dijkstra distance (metres) to the base station; infinity if unreachable.
+  [[nodiscard]] double distance_to_base(std::size_t node) const {
+    return dist_[node];
+  }
   // Hop count to the base station; nullopt if unreachable.
   [[nodiscard]] std::optional<std::size_t> hops_to_base(std::size_t node) const;
   // Full path node -> ... -> base station (inclusive); empty if unreachable.
   [[nodiscard]] std::vector<std::size_t> path_to_base(std::size_t node) const;
-};
-
-// The concrete next-hop forest every built-in policy fills: parent pointers,
-// per-node route distance and per-node uplink length.
-class RouteTable final : public RouteView {
- public:
-  RouteTable() = default;
-
-  // Installs a built forest. `parent[n] == kInvalidId` marks the root (BS)
-  // and unreachable nodes; `dist[n]` is the policy's route distance
-  // (infinity when unreachable). Hop lengths are derived from `positions`
-  // (node order matching the graph, BS last).
-  void assign(std::vector<std::size_t> parent, std::vector<double> dist,
-              const std::vector<Vec2>& positions);
-
-  [[nodiscard]] bool built() const override { return !parent_.empty(); }
-  [[nodiscard]] std::size_t num_nodes() const override { return parent_.size(); }
-  [[nodiscard]] bool reachable(std::size_t node) const override;
-  [[nodiscard]] std::size_t next_hop(std::size_t node) const override {
-    return parent_[node];
-  }
-  [[nodiscard]] double distance_to_base(std::size_t node) const override {
-    return dist_[node];
-  }
-  [[nodiscard]] double hop_length(std::size_t node) const override {
-    return hop_len_[node];
-  }
 
  private:
   std::vector<std::size_t> parent_;
   std::vector<double> dist_;
-  std::vector<double> hop_len_;
 };
 
-// Everything a policy may consult while building routes. `usable` covers the
-// sensors (the base station is always usable); `positions` lists every graph
-// node's location, base station last.
-struct RoutingBuildInput {
-  const CommGraph* graph = nullptr;
-  const std::vector<Vec2>* positions = nullptr;
-  const std::vector<bool>* usable = nullptr;
-};
-
-// Strategy interface. Implementations must be deterministic pure functions
-// of the build input (no RNG, no state across builds): the snapshot codec
-// restores routing by re-running build() on the serialized alive mask, so
-// any nondeterminism would break byte-identical resume.
-class RoutingPolicy {
- public:
-  virtual ~RoutingPolicy() = default;
-  virtual void build(const RoutingBuildInput& in, RouteTable& out) const = 0;
-};
-
-// String-keyed registry of routing-policy factories, mirroring
-// SchedulerRegistry: built-ins register on first access, lookups are
-// thread-safe, unknown names throw listing every registered name.
-class RoutingRegistry {
- public:
-  using Factory = std::unique_ptr<RoutingPolicy> (*)();
-
-  static RoutingRegistry& instance();
-
-  // Registers a policy. `summary` is the one-line description surfaced by
-  // `wrsn_sim --list-routers` and the README table. Throws InvalidArgument
-  // on a duplicate or empty name.
-  void add(std::string name, std::string summary, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-  // Instantiates the named policy; throws InvalidArgument listing the
-  // registered names when `name` is unknown.
-  [[nodiscard]] std::unique_ptr<RoutingPolicy> create(
-      const std::string& name) const;
-  // Registered names, in registration order (the paper's default first).
-  [[nodiscard]] std::vector<std::string> names() const;
-  [[nodiscard]] std::string summary(const std::string& name) const;
-
- private:
-  RoutingRegistry() = default;
-
-  struct Entry {
-    std::string name;
-    std::string summary;
-    Factory factory;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-};
-
-// Convenience: RoutingRegistry::instance().names().
-[[nodiscard]] std::vector<std::string> routing_names();
-
-// General single-source Dijkstra over a CommGraph (used by tests to
-// cross-check the shortest_path policy and exposed for library users who
-// need sensor-to-sensor paths). Returns distances and parents from
-// `source`; nodes with usable[n]==false are skipped (source and target of
-// an edge both need to be usable).
+// General single-source Dijkstra over a CommGraph (RouteTable::build is the
+// base-station case; exposed for library users who need sensor-to-sensor
+// paths). Returns distances and parents from `source`; nodes with
+// usable[n]==false are skipped (source and target of an edge both need to be
+// usable).
 struct ShortestPaths {
   std::vector<double> dist;
   std::vector<std::size_t> parent;
@@ -155,19 +66,33 @@ struct ShortestPaths {
 [[nodiscard]] ShortestPaths dijkstra(const CommGraph& graph, std::size_t source,
                                      const std::vector<bool>& usable);
 
-// Shared helpers for routers that build parents first and derive distances
-// after the fact (greedy_geo, mst_backbone, cluster_backbone). Distances
-// telescope root -> leaf (d(child) = d(parent) + hop length), matching how
-// Dijkstra accumulates, and unreachable nodes get infinity.
-[[nodiscard]] std::vector<double> tree_distances(
-    const std::vector<std::size_t>& parent, const std::vector<Vec2>& positions,
-    std::size_t root);
+// --- e2ebench setup-replay stubs ---------------------------------------------
+// The frozen setup replay in e2ebench/wrsn_e2e.cpp still spells the deleted
+// routing-policy registry: RoutingRegistry::instance().create(cfg.routing)
+// ->build(RoutingBuildInput{...}, routes) and `const RouteView&`. These are
+// the thinnest names that keep it compiling; nothing is selectable, and the
+// only build is RouteTable::build. ROADMAP's benchmark-spine item deletes
+// them together with that spelling.
+using RouteView = RouteTable;
 
-// The usable predicate every built-in router shares: the base station is
-// always usable, and indices beyond the mask (the optional BS entry) are
-// treated as usable.
-[[nodiscard]] bool router_usable(const CommGraph& graph,
-                                 const std::vector<bool>& usable,
-                                 std::size_t node);
+struct RoutingBuildInput {
+  const CommGraph* graph = nullptr;
+  const std::vector<Vec2>* positions = nullptr;  // unused
+  const std::vector<bool>* usable = nullptr;
+};
+
+class RoutingRegistry {
+ public:
+  struct DijkstraTree {
+    void build(const RoutingBuildInput& in, RouteTable& out) const {
+      out.build(*in.graph, *in.usable);
+    }
+  };
+  static const RoutingRegistry& instance();
+  // The Dijkstra tree for "shortest_path"; throws InvalidArgument on any
+  // other name.
+  [[nodiscard]] const DijkstraTree* create(std::string_view name) const;
+};
+// --- end of e2ebench stubs ---------------------------------------------------
 
 }  // namespace wrsn

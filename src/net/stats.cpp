@@ -24,7 +24,7 @@ NetworkStats compute_stats(const Network& net) {
   stats.avg_degree = n > 0 ? static_cast<double>(degree_sum) / static_cast<double>(n)
                            : 0.0;
 
-  const RouteView& tree = net.routing();
+  const RouteTable& tree = net.routing();
   double hops_sum = 0.0;
   double length_sum = 0.0;
   for (std::size_t s = 0; s < n; ++s) {

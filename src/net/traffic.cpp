@@ -21,46 +21,6 @@ void TrafficModel::reset(std::size_t num_sensors) {
   active_ = 0;
 }
 
-void TrafficModel::set_link_model(const LinkConfig& link, double comm_range) {
-  WRSN_REQUIRE(comm_range > 0.0, "link model needs a positive comm range");
-  WRSN_REQUIRE(link.max_retx >= 1, "link.max_retx must be at least 1");
-  link_ = link;
-  link_comm_range_ = comm_range;
-}
-
-void TrafficModel::capture_link(const RouteView& routes,
-                                SourceFlow& flow) const {
-  if (!link_.enabled || flow.relay_path.empty()) return;
-  const double retx = static_cast<double>(link_.max_retx);
-  flow.hop_etx.reserve(flow.relay_path.size());
-  flow.hop_success.reserve(flow.relay_path.size());
-  for (std::size_t node : flow.relay_path) {
-    const double len = routes.hop_length(node);
-    double p = link_.loss_floor +
-               link_.loss_at_range *
-                   std::pow(len / link_comm_range_, link_.loss_exponent);
-    p = std::clamp(p, 0.0, 1.0);
-    double etx;
-    double success;
-    if (p <= 0.0) {
-      etx = 1.0;
-      success = 1.0;
-    } else if (p >= 1.0) {
-      // Every attempt fails: the sender burns all its retransmissions and
-      // nothing crosses the hop.
-      etx = retx;
-      success = 0.0;
-    } else {
-      const double all_fail = std::pow(p, retx);
-      success = 1.0 - all_fail;
-      etx = (1.0 - all_fail) / (1.0 - p);  // truncated geometric mean attempts
-    }
-    flow.hop_etx.push_back(etx);
-    flow.hop_success.push_back(success);
-    flow.path_success *= success;
-  }
-}
-
 void TrafficModel::apply(const SourceFlow& flow, SensorId source, double sign) {
   const double r = sign * flow.rate_pps;
   if (touch_log_ != nullptr) touch_log_->add(source);
@@ -71,34 +31,16 @@ void TrafficModel::apply(const SourceFlow& flow, SensorId source, double sign) {
     tx_rate_[source] += r;
     return;
   }
-  double delivered = r;
-  if (flow.hop_etx.empty()) {
-    // Lossless fast path — bit-identical to the pre-link-layer accounting.
-    for (std::size_t i = 0; i < flow.relay_path.size(); ++i) {
-      const std::size_t node = flow.relay_path[i];
-      tx_rate_[node] += r;
-      if (i > 0) rx_rate_[node] += r;  // relays receive before forwarding
-      if (touch_log_ != nullptr && i > 0) touch_log_->add(node);
-    }
-    delivery_rate_ += r;
-  } else {
-    // Lossy links: the surviving rate attenuates hop by hop, and each hop's
-    // sender pays for its expected transmission count. All multipliers were
-    // captured with the flow, so the -1 application mirrors the +1 exactly.
-    double incoming = r;
-    for (std::size_t i = 0; i < flow.relay_path.size(); ++i) {
-      const std::size_t node = flow.relay_path[i];
-      tx_rate_[node] += incoming * flow.hop_etx[i];
-      if (i > 0) rx_rate_[node] += incoming;
-      if (touch_log_ != nullptr && i > 0) touch_log_->add(node);
-      incoming *= flow.hop_success[i];
-    }
-    delivered = incoming;
-    delivery_rate_ += delivered;
+  for (std::size_t i = 0; i < flow.relay_path.size(); ++i) {
+    const std::size_t node = flow.relay_path[i];
+    tx_rate_[node] += r;
+    if (i > 0) rx_rate_[node] += r;  // relays receive before forwarding
+    if (touch_log_ != nullptr && i > 0) touch_log_->add(node);
   }
-  if (flow.rate_pps > 0.0 && flow.path_success > 0.0) {
-    weighted_hops_ += delivered * static_cast<double>(flow.relay_path.size());
-    delivering_rate_ += delivered;
+  delivery_rate_ += r;
+  if (flow.rate_pps > 0.0) {
+    weighted_hops_ += r * static_cast<double>(flow.relay_path.size());
+    delivering_rate_ += r;
     if (sign > 0.0) {
       ++delivering_sources_;
     } else {
@@ -120,9 +62,6 @@ TrafficModel::SourceFlow& TrafficModel::claim_flow(SensorId source,
   flow.source = source;
   flow.rate_pps = rate_pps;
   flow.relay_path.clear();
-  flow.hop_etx.clear();
-  flow.hop_success.clear();
-  flow.path_success = 1.0;
   slot_[source] = static_cast<std::uint32_t>(active_++);
   return flow;
 }
@@ -135,7 +74,7 @@ void TrafficModel::sort_active(std::vector<std::uint32_t>& order) const {
   });
 }
 
-void TrafficModel::add_source(const RouteView& routes, SensorId source,
+void TrafficModel::add_source(const RouteTable& routes, SensorId source,
                               double rate_pps) {
   WRSN_REQUIRE(source < tx_rate_.size(), "source id out of range");
   WRSN_REQUIRE(rate_pps >= 0.0, "packet rate must be non-negative");
@@ -152,7 +91,6 @@ void TrafficModel::add_source(const RouteView& routes, SensorId source,
                   "routing forest contains a cycle");
     }
   }
-  capture_link(routes, flow);
   apply(flow, source, +1.0);
 }
 
@@ -179,7 +117,7 @@ void TrafficModel::clear_sources() {
   offered_rate_ = 0.0;  // exact quiescence
 }
 
-void TrafficModel::reroute(const RouteView& routes) {
+void TrafficModel::reroute(const RouteTable& routes) {
   sort_active(order_);
   reroute_.clear();
   for (const std::uint32_t i : order_) {
@@ -207,9 +145,6 @@ void TrafficModel::serialize(BinWriter& w) const {
     std::vector<std::uint64_t> path(flow.relay_path.begin(),
                                     flow.relay_path.end());
     w.vec(path);
-    w.vec(flow.hop_etx);
-    w.vec(flow.hop_success);
-    w.f64(flow.path_success);
   }
 }
 
@@ -229,6 +164,7 @@ void TrafficModel::deserialize(BinReader& r) {
   slot_.assign(tx_rate_.size(), kNoSlot);
   flows_.clear();
   active_ = 0;
+  std::vector<std::uint64_t> path;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t source = 0;
     r.u64(source);
@@ -236,12 +172,16 @@ void TrafficModel::deserialize(BinReader& r) {
                  "traffic snapshot source id out of range or repeated");
     SourceFlow& flow = claim_flow(static_cast<SensorId>(source), 0.0);
     r.f64(flow.rate_pps);
-    std::vector<std::uint64_t> path;
+    WRSN_REQUIRE(std::isfinite(flow.rate_pps) && flow.rate_pps >= 0.0,
+                 "traffic snapshot source rate is negative or non-finite");
     r.vec(path);
+    WRSN_REQUIRE(path.size() <= slot_.size(),
+                 "traffic snapshot relay path is longer than the network");
+    for (const std::uint64_t node : path) {
+      WRSN_REQUIRE(node < slot_.size(),
+                   "traffic snapshot relay path id out of range");
+    }
     flow.relay_path.assign(path.begin(), path.end());
-    r.vec(flow.hop_etx);
-    r.vec(flow.hop_success);
-    r.f64(flow.path_success);
   }
 }
 
@@ -249,15 +189,9 @@ Watt TrafficModel::radio_power(SensorId s, const RadioModel& radio) const {
   WRSN_REQUIRE(s < tx_rate_.size(), "sensor id out of range");
   // rate (1/s) x energy-per-packet (J) = power (W); plus the duty-cycled
   // idle-listening floor.
-  Watt power = radio.idle_power + radio.listen_duty_cycle * radio.rx_power +
-               Watt{tx_rate_[s] * radio.tx_energy_per_packet().value()} +
-               Watt{rx_rate_[s] * radio.rx_energy_per_packet().value()};
-  if (link_.enabled && link_.rx_duty_tax > 0.0 && rx_rate_[s] > 0.0) {
-    // Actively receiving nodes keep the radio on longer to catch
-    // retransmitted frames.
-    power += link_.rx_duty_tax * radio.rx_power;
-  }
-  return power;
+  return radio.idle_power + radio.listen_duty_cycle * radio.rx_power +
+         Watt{tx_rate_[s] * radio.tx_energy_per_packet().value()} +
+         Watt{rx_rate_[s] * radio.rx_energy_per_packet().value()};
 }
 
 }  // namespace wrsn

@@ -2,19 +2,13 @@
 // Flow-rate traffic accounting.
 //
 // Active monitors generate lambda pkt/min towards the base station over the
-// routing forest. Rather than simulating packets, we keep per-node transmit /
-// receive packet *rates* (pkt/s); combined with the per-packet radio
-// energies this yields each node's radio power draw, which is exactly what
-// the analytic battery model needs. Source routes are captured when a source
-// is added so removal subtracts the identical path even if the routes have
-// been rebuilt in between.
-//
-// With the link-quality layer enabled (LinkConfig), each captured hop also
-// carries its expected-transmission-count (ETX) and success probability:
-// transmit rates are multiplied by ETX (retransmissions cost energy) and the
-// offered rate attenuates hop by hop, so only the surviving fraction reaches
-// the base station. Disabled (default), accounting is bit-identical to the
-// lossless model.
+// routing forest, and every hop is lossless (Section II-A). Rather than
+// simulating packets, we keep per-node transmit / receive packet *rates*
+// (pkt/s); combined with the per-packet radio energies this yields each
+// node's radio power draw, which is exactly what the analytic battery model
+// needs. Source routes are captured when a source is added so removal
+// subtracts the identical path even if the routes have been rebuilt in
+// between.
 
 #include <cstdint>
 #include <utility>
@@ -36,11 +30,6 @@ class TrafficModel {
 
   void reset(std::size_t num_sensors);
 
-  // Installs the link-quality model used for per-hop loss/ETX capture on
-  // subsequent add_source()/reroute() calls. `comm_range` (metres) is the
-  // distance at which the loss_at_range term applies in full.
-  void set_link_model(const LinkConfig& link, double comm_range);
-
   [[nodiscard]] std::size_t num_sensors() const { return tx_rate_.size(); }
   [[nodiscard]] std::size_t num_sources() const { return active_; }
   [[nodiscard]] bool has_source(SensorId s) const {
@@ -55,23 +44,23 @@ class TrafficModel {
   // route. A source whose route is unreachable still spends transmit energy
   // on its own packets (it keeps trying) but relays nothing. No-op guard:
   // a source may be added only once.
-  void add_source(const RouteView& routes, SensorId source, double rate_pps);
+  void add_source(const RouteTable& routes, SensorId source, double rate_pps);
   void remove_source(SensorId source);
   // Drops all sources (used before a full re-register on re-clustering).
   void clear_sources();
 
   // Re-resolves every registered source's route against `routes`, keeping
   // rates. Called after the routing forest is rebuilt on a topology change.
-  void reroute(const RouteView& routes);
+  void reroute(const RouteTable& routes);
 
   [[nodiscard]] double tx_rate(SensorId s) const { return tx_rate_[s]; }
   [[nodiscard]] double rx_rate(SensorId s) const { return rx_rate_[s]; }
 
   // Aggregate packet rate currently reaching the base station.
   [[nodiscard]] double delivery_rate() const { return delivery_rate_; }
-  // Aggregate packet rate currently generated by all sources (reachable or
-  // not, delivered or lost). delivery_rate()/offered_rate() is the network's
-  // instantaneous delivery ratio.
+  // Aggregate packet rate currently generated by all sources, reachable or
+  // not. delivery_rate()/offered_rate() is the network's instantaneous
+  // delivery ratio.
   [[nodiscard]] double offered_rate() const { return offered_rate_; }
 
   // Rate-weighted mean hop count of delivered traffic (a per-packet latency
@@ -91,17 +80,23 @@ class TrafficModel {
   // Pass nullptr to detach; the log must outlive the model while attached.
   void set_touch_log(DirtySet* log) { touch_log_ = log; }
 
-  // Radio power draw of sensor s under `radio` (tx + rx + idle floor, plus
-  // the link layer's receive duty tax for actively receiving nodes).
+  // Radio power draw of sensor s under `radio` (tx + rx + idle floor).
   [[nodiscard]] Watt radio_power(SensorId s, const RadioModel& radio) const;
 
   // Checkpoint codec: dumps/restores every accumulator and captured route
   // verbatim (no re-derivation — the rounding residue in the rate sums is
-  // part of the state an uninterrupted run would carry). The link model
-  // itself is config, not state: set_link_model() must be called before
-  // deserialize() with the same LinkConfig the checkpoint was taken under.
+  // part of the state an uninterrupted run would carry). deserialize()
+  // rejects source ids, path ids and rates that add_source() would not
+  // accept, so a corrupt snapshot cannot index past the rate vectors.
   void serialize(BinWriter& w) const;
   void deserialize(BinReader& r);
+
+  // --- e2ebench setup-replay stub ----------------------------------------
+  // The frozen setup replay in e2ebench/wrsn_e2e.cpp still calls the deleted
+  // link-quality hook as set_link_model(cfg.link, range). It does nothing;
+  // ROADMAP's benchmark-spine item deletes it together with that call.
+  void set_link_model(const SimConfig::RetiredLinkModel&, double) {}
+  // --- end of e2ebench stub ----------------------------------------------
 
  private:
   struct SourceFlow {
@@ -110,25 +105,17 @@ class TrafficModel {
     // Path sensor -> ... -> BS, excluding the BS node itself; empty when the
     // source could not reach the base station at registration time.
     std::vector<std::size_t> relay_path;
-    // Link layer capture, parallel to relay_path: expected transmissions and
-    // success probability of each node's uplink hop. Empty when the link
-    // layer was disabled at capture time (the lossless fast path).
-    std::vector<double> hop_etx;
-    std::vector<double> hop_success;
-    // Product of hop_success over the whole path (1 when lossless).
-    double path_success = 1.0;
   };
 
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
   // Claims the next flow record for `source` (a recycled one when any is
-  // spare), with empty paths and the given rate, and indexes it.
+  // spare), with an empty path and the given rate, and indexes it.
   SourceFlow& claim_flow(SensorId source, double rate_pps);
   // Active flow indices ordered by ascending source id: the order every
   // floating-point walk over all sources uses.
   void sort_active(std::vector<std::uint32_t>& order) const;
   void apply(const SourceFlow& flow, SensorId source, double sign);
-  void capture_link(const RouteView& routes, SourceFlow& flow) const;
 
   std::vector<double> tx_rate_;
   std::vector<double> rx_rate_;
@@ -155,8 +142,6 @@ class TrafficModel {
   std::vector<std::uint32_t> order_;
   std::vector<std::pair<SensorId, double>> reroute_;
   DirtySet* touch_log_ = nullptr;
-  LinkConfig link_;
-  double link_comm_range_ = 0.0;
 };
 
 }  // namespace wrsn

@@ -105,7 +105,7 @@ struct MetricsReport {
                                    : 0.0;
   }
   // Fraction of generated packets that reached the base station (routing
-  // reachability x link-layer survival). 0 when nothing was offered.
+  // reachability; hops are lossless). 0 when nothing was offered.
   [[nodiscard]] double delivery_ratio() const {
     return packets_offered > 0.0 ? packets_delivered / packets_offered : 0.0;
   }

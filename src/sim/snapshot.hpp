@@ -34,7 +34,10 @@ namespace wrsn {
 // ETX/success captures, the integrator tracks packets_offered).
 // v3: the embedded config text drops the removed shard-executor threshold
 // key; v2 snapshots are rejected rather than restored.
-inline constexpr std::uint32_t kSnapshotSchemaVersion = 3;
+// v4: routing is always the Dijkstra tree over lossless links — the config
+// text drops the routing and link.* keys and traffic flows drop their
+// per-hop ETX/success captures; v3 snapshots are rejected.
+inline constexpr std::uint32_t kSnapshotSchemaVersion = 4;
 
 struct WorldSnapshot {
   std::uint32_t version = kSnapshotSchemaVersion;

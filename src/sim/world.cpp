@@ -80,9 +80,6 @@ World::World(const SimConfig& config, WorldEngine engine)
   // switching engines never changes the traffic model's behaviour.
   drain_marks_.reset(config_.num_sensors);
   traffic_.set_touch_log(&drain_marks_);
-  // Install the link-quality model before any source registration (the
-  // initial recluster below captures per-hop loss with each flow).
-  traffic_.set_link_model(config_.link, config_.comm_range.value());
 
   target_waypoint_.resize(config_.num_targets);
   target_dwelling_.assign(config_.num_targets, true);

@@ -6,7 +6,6 @@
 
 #include "core/config_io.hpp"
 #include "core/error.hpp"
-#include "net/routing.hpp"
 
 namespace wrsn {
 namespace {
@@ -57,22 +56,26 @@ TEST(ConfigIo, RejectsBadInput) {
   EXPECT_THROW(config_set(cfg, "num_sensors", "1.5"), InvalidArgument);
   EXPECT_THROW(config_set(cfg, "field_side_m", "12abc"), InvalidArgument);
   EXPECT_THROW(config_set(cfg, "scheduler", "quantum"), InvalidArgument);
-  EXPECT_THROW(config_set(cfg, "routing", "pigeon"), InvalidArgument);
   EXPECT_THROW(config_set(cfg, "two_opt_tours", "maybe"), InvalidArgument);
-  EXPECT_THROW(config_set(cfg, "link.enabled", "maybe"), InvalidArgument);
-  EXPECT_THROW(config_set(cfg, "link.max_retx", "several"), InvalidArgument);
   EXPECT_THROW((void)config_get(cfg, "no_such_key"), InvalidArgument);
 }
 
 // Configs written before the key was removed must fail loudly rather than
 // have the line silently dropped.
 TEST(ConfigIo, RemovedParallelThresholdKeyIsRejected) {
-  try {
-    (void)config_from_text("num_sensors = 40\nparallel_threshold=4096\n");
-    FAIL() << "parallel_threshold was accepted";
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("parallel_threshold"), std::string::npos)
-        << e.what();
+  // The shard-executor threshold, the routing-policy knob and the
+  // link-quality layer's keys.
+  for (const std::string key :
+       {"parallel_threshold", "routing", "link.enabled", "link.loss_floor",
+        "link.loss_at_range", "link.loss_exponent", "link.max_retx",
+        "link.rx_duty_tax"}) {
+    try {
+      (void)config_from_text("num_sensors = 40\n" + key + "=1\n");
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -129,7 +132,6 @@ TEST(ConfigIo, UnknownEnumValueErrorsListValidNames) {
   const std::vector<Case> cases = {
       {"scheduler", "quantum",
        {"greedy", "partition", "combined", "nearest-first", "fcfs", "edf"}},
-      {"routing", "pigeon", routing_names()},
       {"activation", "psychic", {"full-time", "round-robin"}},
       {"target_motion", "warp", {"teleport", "random-waypoint"}},
       {"rv.charge_profile", "fusion", {"constant-power", "tapered-cc-cv"}},
@@ -155,25 +157,6 @@ TEST(ConfigIo, TextRoundTrip) {
   EXPECT_EQ(back.scheduler, "nearest-first");
   EXPECT_DOUBLE_EQ(back.energy_request_percentage, 0.35);
   EXPECT_DOUBLE_EQ(back.rv.charge_power.value(), 2.5);
-}
-
-TEST(ConfigIo, RoutingAndLinkKeysRoundTrip) {
-  SimConfig cfg;
-  cfg.routing = "greedy_geo";
-  cfg.link.enabled = true;
-  cfg.link.loss_floor = 0.02;
-  cfg.link.loss_at_range = 0.4;
-  cfg.link.loss_exponent = 2.5;
-  cfg.link.max_retx = 5;
-  cfg.link.rx_duty_tax = 0.03;
-  const SimConfig back = config_from_text(config_to_text(cfg));
-  EXPECT_EQ(back.routing, "greedy_geo");
-  EXPECT_TRUE(back.link.enabled);
-  EXPECT_DOUBLE_EQ(back.link.loss_floor, 0.02);
-  EXPECT_DOUBLE_EQ(back.link.loss_at_range, 0.4);
-  EXPECT_DOUBLE_EQ(back.link.loss_exponent, 2.5);
-  EXPECT_EQ(back.link.max_retx, 5u);
-  EXPECT_DOUBLE_EQ(back.link.rx_duty_tax, 0.03);
 }
 
 TEST(ConfigIo, ParsingSkipsCommentsAndBlanks) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 #include "core/rng.hpp"
@@ -10,15 +12,9 @@
 namespace wrsn {
 namespace {
 
-// Builds the default shortest_path forest the way Network does: positions
-// with the base station appended, policy resolved through the registry.
-RouteTable build_tree(const CommGraph& g, const std::vector<Vec2>& sensors,
-                      Vec2 bs, const std::vector<bool>& usable) {
-  std::vector<Vec2> all = sensors;
-  all.push_back(bs);
+RouteTable build_tree(const CommGraph& g, const std::vector<bool>& usable) {
   RouteTable table;
-  const RoutingBuildInput in{&g, &all, &usable};
-  RoutingRegistry::instance().create("shortest_path")->build(in, table);
+  table.build(g, usable);
   return table;
 }
 
@@ -51,8 +47,7 @@ std::vector<std::vector<double>> floyd_warshall(const CommGraph& g,
 TEST(Routing, LineTopologyDistances) {
   const std::vector<Vec2> pos = {{0, 0}, {10, 0}, {20, 0}};
   CommGraph g(pos, Vec2{30, 0}, 12.0);
-  const RouteTable tree =
-      build_tree(g, pos, Vec2{30, 0}, std::vector<bool>(3, true));
+  const RouteTable tree = build_tree(g, std::vector<bool>(3, true));
   EXPECT_DOUBLE_EQ(tree.distance_to_base(2), 10.0);
   EXPECT_DOUBLE_EQ(tree.distance_to_base(1), 20.0);
   EXPECT_DOUBLE_EQ(tree.distance_to_base(0), 30.0);
@@ -62,15 +57,13 @@ TEST(Routing, LineTopologyDistances) {
   EXPECT_EQ(tree.next_hop(3), kInvalidId);
   EXPECT_EQ(tree.hops_to_base(0), 3u);
   EXPECT_EQ(tree.path_to_base(0), (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_DOUBLE_EQ(tree.hop_length(0), 10.0);
-  EXPECT_DOUBLE_EQ(tree.hop_length(2), 10.0);
 }
 
 TEST(Routing, DeadRelayBreaksPath) {
   const std::vector<Vec2> pos = {{0, 0}, {10, 0}, {20, 0}};
   CommGraph g(pos, Vec2{30, 0}, 12.0);
   std::vector<bool> usable = {true, false, true};  // middle node dead
-  const RouteTable tree = build_tree(g, pos, Vec2{30, 0}, usable);
+  const RouteTable tree = build_tree(g, usable);
   EXPECT_TRUE(tree.reachable(2));
   EXPECT_FALSE(tree.reachable(1));
   EXPECT_FALSE(tree.reachable(0));
@@ -86,7 +79,7 @@ TEST(Routing, TreeMatchesFloydWarshall) {
   // Kill a few nodes.
   for (std::size_t i = 0; i < 60; i += 7) usable[i] = false;
 
-  const RouteTable tree = build_tree(g, pos, Vec2{30, 30}, usable);
+  const RouteTable tree = build_tree(g, usable);
   const auto ref = floyd_warshall(g, usable);
   const std::size_t bs = g.base_station_index();
   for (std::size_t v = 0; v < 60; ++v) {
@@ -108,7 +101,7 @@ TEST(Routing, PathDistancesTelescope) {
   const auto pos = deploy_uniform(120, 80.0, rng);
   CommGraph g(pos, Vec2{40, 40}, 14.0);
   const RouteTable tree =
-      build_tree(g, pos, Vec2{40, 40}, std::vector<bool>(120, true));
+      build_tree(g, std::vector<bool>(120, true));
   for (std::size_t v = 0; v < 120; ++v) {
     if (!tree.reachable(v)) continue;
     const auto path = tree.path_to_base(v);
@@ -119,6 +112,28 @@ TEST(Routing, PathDistancesTelescope) {
       len += distance(all[path[i - 1]], all[path[i]]);
     }
     EXPECT_NEAR(len, tree.distance_to_base(v), 1e-9);
+  }
+}
+
+// Network rebuilds one table in place on every death and revival, and a
+// restore rebuilds it from the serialized mask: a rebuild must equal a fresh
+// build bit for bit, and both must equal the general Dijkstra from the BS.
+TEST(Routing, RebuildInPlaceMatchesFreshBuild) {
+  Xoshiro256 rng(29);
+  const auto pos = deploy_uniform(80, 60.0, rng);
+  CommGraph g(pos, Vec2{30, 30}, 13.0);
+  std::vector<bool> usable(80, true);
+  RouteTable reused = build_tree(g, usable);
+  for (std::size_t i = 0; i < 80; i += 5) usable[i] = false;
+  reused.build(g, usable);
+  const RouteTable fresh = build_tree(g, usable);
+  const ShortestPaths sp = dijkstra(g, g.base_station_index(), usable);
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(reused.next_hop(v), fresh.next_hop(v)) << "node " << v;
+    EXPECT_EQ(reused.next_hop(v), sp.parent[v]) << "node " << v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.distance_to_base(v)),
+              std::bit_cast<std::uint64_t>(sp.dist[v]))
+        << "node " << v;
   }
 }
 
@@ -146,7 +161,7 @@ TEST(Routing, ParentPointersConsistentWithDistances) {
   const auto pos = deploy_uniform(100, 70.0, rng);
   CommGraph g(pos, Vec2{35, 35}, 13.0);
   const RouteTable tree =
-      build_tree(g, pos, Vec2{35, 35}, std::vector<bool>(100, true));
+      build_tree(g, std::vector<bool>(100, true));
   std::vector<Vec2> all = pos;
   all.push_back({35, 35});
   for (std::size_t v = 0; v < 100; ++v) {

@@ -21,20 +21,17 @@ class TrafficTest : public ::testing::Test {
   // Line: s0 -- s1 -- s2 -- BS, 10 m spacing, range 12 m.
   void SetUp() override {
     graph_ = CommGraph({{0, 0}, {10, 0}, {20, 0}}, Vec2{30, 0}, 12.0);
-    positions_ = {{0, 0}, {10, 0}, {20, 0}, {30, 0}};
     tree_ = build(std::vector<bool>(3, true));
     traffic_.reset(3);
   }
 
   [[nodiscard]] RouteTable build(const std::vector<bool>& usable) const {
     RouteTable table;
-    const RoutingBuildInput in{&graph_, &positions_, &usable};
-    RoutingRegistry::instance().create("shortest_path")->build(in, table);
+    table.build(graph_, usable);
     return table;
   }
 
   CommGraph graph_;
-  std::vector<Vec2> positions_;
   RouteTable tree_;
   TrafficModel traffic_;
 };
@@ -198,105 +195,6 @@ TEST_F(TrafficTest, SourceIdValidation) {
   EXPECT_THROW(traffic_.add_source(tree_, 0, -1.0), InvalidArgument);
 }
 
-// --- link-quality layer --------------------------------------------------
-
-class LossyTrafficTest : public TrafficTest {
- protected:
-  void SetUp() override {
-    TrafficTest::SetUp();
-    link_.enabled = true;
-    link_.loss_floor = 0.0;
-    link_.loss_at_range = 0.3;
-    link_.loss_exponent = 2.0;
-    link_.max_retx = 3;
-    traffic_.set_link_model(link_, 12.0);
-    // Every hop on the 10 m line at 12 m range: p = 0.3 * (10/12)^2.
-    p_hop_ = 0.3 * (10.0 / 12.0) * (10.0 / 12.0);
-    const double all_fail = std::pow(p_hop_, 3.0);
-    success_ = 1.0 - all_fail;
-    etx_ = (1.0 - all_fail) / (1.0 - p_hop_);
-  }
-  LinkConfig link_;
-  double p_hop_ = 0.0, success_ = 0.0, etx_ = 0.0;
-};
-
-TEST_F(LossyTrafficTest, AttenuatesHopByHopAndChargesEtx) {
-  traffic_.add_source(tree_, 0, 1.0);
-  // Source pays ETX for its own packets; each relay receives the surviving
-  // fraction and pays ETX to forward it.
-  EXPECT_NEAR(traffic_.tx_rate(0), etx_, 1e-12);
-  EXPECT_DOUBLE_EQ(traffic_.rx_rate(0), 0.0);
-  EXPECT_NEAR(traffic_.rx_rate(1), success_, 1e-12);
-  EXPECT_NEAR(traffic_.tx_rate(1), success_ * etx_, 1e-12);
-  EXPECT_NEAR(traffic_.rx_rate(2), success_ * success_, 1e-12);
-  EXPECT_NEAR(traffic_.tx_rate(2), success_ * success_ * etx_, 1e-12);
-  // Delivery is the thrice-attenuated rate; offered is the raw rate.
-  EXPECT_NEAR(traffic_.delivery_rate(), std::pow(success_, 3.0), 1e-12);
-  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 1.0);
-  EXPECT_LT(traffic_.delivery_rate(), traffic_.offered_rate());
-}
-
-TEST_F(LossyTrafficTest, RemoveAndClearReturnToQuiescence) {
-  traffic_.add_source(tree_, 0, 0.7);
-  traffic_.add_source(tree_, 2, 0.4);
-  traffic_.remove_source(0);
-  traffic_.remove_source(2);
-  for (SensorId s = 0; s < 3; ++s) {
-    EXPECT_DOUBLE_EQ(traffic_.tx_rate(s), 0.0);
-    EXPECT_DOUBLE_EQ(traffic_.rx_rate(s), 0.0);
-  }
-  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 0.0);
-}
-
-TEST_F(LossyTrafficTest, RerouteRecapturesLinkQuality) {
-  traffic_.add_source(tree_, 0, 1.0);
-  const double before = traffic_.delivery_rate();
-  traffic_.reroute(tree_);  // same forest: captures must reproduce exactly
-  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), before);
-  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 1.0);
-}
-
-TEST_F(LossyTrafficTest, RxDutyTaxOnlyForReceivers) {
-  link_.rx_duty_tax = 0.05;
-  traffic_.set_link_model(link_, 12.0);
-  RadioModel radio;
-  radio.listen_duty_cycle = 0.0;
-  traffic_.add_source(tree_, 0, 1.0);
-  // Node 0 only transmits: no tax. Node 1 receives: taxed.
-  const double p0 = traffic_.radio_power(0, radio).value();
-  const double p1 = traffic_.radio_power(1, radio).value();
-  EXPECT_NEAR(p0, radio.idle_power.value() +
-                      traffic_.tx_rate(0) * radio.tx_energy_per_packet().value(),
-              1e-12);
-  EXPECT_NEAR(p1, radio.idle_power.value() +
-                      traffic_.tx_rate(1) * radio.tx_energy_per_packet().value() +
-                      traffic_.rx_rate(1) * radio.rx_energy_per_packet().value() +
-                      0.05 * radio.rx_power.value(),
-              1e-12);
-}
-
-TEST_F(LossyTrafficTest, LosslessConfigMatchesLegacyAccounting) {
-  // enabled=true but zero loss terms: ETX and success collapse to 1, so the
-  // numbers must equal the lossless fast path bit for bit.
-  LinkConfig zero;
-  zero.enabled = true;
-  zero.loss_floor = 0.0;
-  zero.loss_at_range = 0.0;
-  traffic_.set_link_model(zero, 12.0);
-  traffic_.add_source(tree_, 0, 0.25);
-  TrafficModel plain(3);
-  plain.add_source(tree_, 0, 0.25);
-  for (SensorId s = 0; s < 3; ++s) {
-    EXPECT_DOUBLE_EQ(traffic_.tx_rate(s), plain.tx_rate(s));
-    EXPECT_DOUBLE_EQ(traffic_.rx_rate(s), plain.rx_rate(s));
-  }
-  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), plain.delivery_rate());
-  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(),
-                   plain.average_delivery_hops());
-}
-
 // --- slot table ----------------------------------------------------------
 
 // 4x4 sensor grid at 10 m spacing (range 12 m: 4-neighbour links only), BS
@@ -310,10 +208,7 @@ class TrafficSlotTest : public ::testing::Test {
       for (int x = 0; x < 4; ++x) positions_.push_back({10.0 * x, 10.0 * y});
     }
     graph_ = CommGraph(positions_, Vec2{40, 0}, 12.0);
-    positions_.push_back({40, 0});
-    const std::vector<bool> usable(kSensors, true);
-    RoutingRegistry::instance().create("shortest_path")->build(
-        RoutingBuildInput{&graph_, &positions_, &usable}, tree_);
+    tree_.build(graph_, std::vector<bool>(kSensors, true));
   }
 
   static double rate(SensorId s) { return 0.125 * static_cast<double>(1 + s % 4); }
@@ -408,17 +303,11 @@ TEST_F(TrafficSlotTest, SwapRemovalKeepsMembership) {
 }
 
 TEST_F(TrafficSlotTest, SnapshotRoundTrip) {
-  LinkConfig link;
-  link.enabled = true;
-  link.loss_floor = 0.01;
-  link.loss_at_range = 0.3;
   TrafficModel m(kSensors);
-  m.set_link_model(link, 12.0);
   for (const SensorId s : {13, 1, 10, 6, 4}) add(m, s);
   m.remove_source(1);
 
   TrafficModel restored;
-  restored.set_link_model(link, 12.0);
   const std::string saved = bytes(m);
   BinReader r(saved);
   restored.deserialize(r);
@@ -436,21 +325,26 @@ TEST_F(TrafficSlotTest, SnapshotRoundTrip) {
   EXPECT_EQ(bytes(restored), bytes(m));
 }
 
+// A snapshot with a valid checksum can still carry ids and rates that
+// add_source() would reject; restoring one must fail instead of letting the
+// next remove_source()/clear_sources() index past the rate vectors.
 TEST_F(TrafficSlotTest, SnapshotRejectsBadSourceIds) {
-  const auto encode = [](std::uint64_t first, std::uint64_t second) {
+  struct Flow {
+    std::uint64_t source;
+    double rate;
+    std::vector<std::uint64_t> path;
+  };
+  const auto encode = [](const std::vector<Flow>& flows) {
     BinWriter w;
     w.vec(std::vector<double>(kSensors, 0.0));
     w.vec(std::vector<double>(kSensors, 0.0));
     for (int i = 0; i < 4; ++i) w.f64(0.0);
     w.size(0);
-    w.size(2);
-    for (const std::uint64_t source : {first, second}) {
-      w.u64(source);
-      w.f64(0.25);
-      w.vec(std::vector<std::uint64_t>{});
-      w.vec(std::vector<double>{});
-      w.vec(std::vector<double>{});
-      w.f64(1.0);
+    w.size(flows.size());
+    for (const Flow& f : flows) {
+      w.u64(f.source);
+      w.f64(f.rate);
+      w.vec(f.path);
     }
     return w.take();
   };
@@ -460,9 +354,21 @@ TEST_F(TrafficSlotTest, SnapshotRejectsBadSourceIds) {
     m.deserialize(r);
     return m.num_sources();
   };
-  EXPECT_EQ(load(encode(3, 5)), 2u);
-  EXPECT_THROW(load(encode(3, 3)), InvalidArgument);
-  EXPECT_THROW(load(encode(3, kSensors)), InvalidArgument);
+  const auto flow = [](std::uint64_t source) {
+    return Flow{source, 0.25, {source}};
+  };
+  EXPECT_EQ(load(encode({flow(3), flow(5)})), 2u);
+  EXPECT_THROW(load(encode({flow(3), flow(3)})), InvalidArgument);
+  EXPECT_THROW(load(encode({flow(3), {kSensors, 0.25, {}}})), InvalidArgument);
+  // Relay path ids past the sensors, and paths longer than the network.
+  EXPECT_THROW(load(encode({{3, 0.25, {3, kSensors}}})), InvalidArgument);
+  EXPECT_THROW(load(encode({{3, 0.25, {3, UINT64_MAX}}})), InvalidArgument);
+  EXPECT_THROW(load(encode({{3, 0.25, std::vector<std::uint64_t>(kSensors + 1, 3)}})),
+               InvalidArgument);
+  // Rates add_source() refuses.
+  for (const double bad : {-0.25, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(load(encode({{3, bad, {3}}})), InvalidArgument) << bad;
+  }
 }
 
 TEST_F(TrafficSlotTest, RecycledBuffersBoundedByPeakSources) {

@@ -14,20 +14,17 @@ class HopsTest : public ::testing::Test {
   // Line: s0 -- s1 -- s2 -- BS, 10 m spacing.
   void SetUp() override {
     graph_ = CommGraph({{0, 0}, {10, 0}, {20, 0}}, Vec2{30, 0}, 12.0);
-    positions_ = {{0, 0}, {10, 0}, {20, 0}, {30, 0}};
     tree_ = build(std::vector<bool>(3, true));
     traffic_.reset(3);
   }
 
   [[nodiscard]] RouteTable build(const std::vector<bool>& usable) const {
     RouteTable table;
-    const RoutingBuildInput in{&graph_, &positions_, &usable};
-    RoutingRegistry::instance().create("shortest_path")->build(in, table);
+    table.build(graph_, usable);
     return table;
   }
 
   CommGraph graph_;
-  std::vector<Vec2> positions_;
   RouteTable tree_;
   TrafficModel traffic_;
 };

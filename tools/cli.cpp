@@ -10,7 +10,6 @@
 #include "core/binio.hpp"
 #include "core/config_io.hpp"
 #include "core/error.hpp"
-#include "net/routing.hpp"
 #include "sched/policy.hpp"
 
 namespace wrsn::cli {
@@ -24,8 +23,7 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 extern "C" void request_stop(int) { g_stop_requested = 1; }
 
 // Name + summary per line, names padded to one column.
-template <typename Registry>
-void print_registry(const Registry& registry) {
+void print_registry(const SchedulerRegistry& registry) {
   std::size_t width = 0;
   for (const std::string& name : registry.names()) width = std::max(width, name.size());
   for (const std::string& name : registry.names()) {
@@ -94,15 +92,11 @@ FlagTable::FlagTable(std::string tool, std::string summary)
              discover_flag("--list-schedulers",
                            "list registered scheduler policies with summaries",
                            [] { print_registry(SchedulerRegistry::instance()); }),
-             discover_flag("--list-routers",
-                           "list registered routing policies with summaries",
-                           [] { print_registry(RoutingRegistry::instance()); }),
              // `key=v1,v2,...` lines split straight into --sweep specs.
              discover_flag("--list",
                            "list every enum-like knob as a --sweep KEY=V1,V2,... line",
                            [] {
                              print_list("scheduler", scheduler_names());
-                             print_list("routing", routing_names());
                              print_list("activation", activation_policy_names());
                              print_list("target_motion", target_motion_names());
                              print_list("rv.charge_profile", charge_profile_names());
@@ -204,7 +198,6 @@ void add_config_group(FlagTable& table, Options& options) {
        shorthand("--days", "N", "sim_days", ""),
        shorthand("--seed", "N", "seed", ""),
        shorthand("--scheduler", "NAME", "scheduler", " (see --list-schedulers)"),
-       shorthand("--routing", "NAME", "routing", " (see --list-routers)"),
        flag("--faults", "FILE|SPEC",
             "fault injection: a file of fault.* keys, or a spec such\n"
             "as request_loss_prob=0.2,rv_breakdown_at_h=6",

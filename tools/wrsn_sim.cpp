@@ -66,12 +66,12 @@ void write_csv(const std::string& path, const SimConfig& cfg,
   std::ofstream os(path, std::ios::app);
   WRSN_REQUIRE(os.good(), "cannot open '" + path + "' for writing");
   if (!exists) {
-    os << "seed,scheduler,routing,activation,erp";
+    os << "seed,scheduler,activation,erp";
     for (const MetricRow& m : kMetrics) os << ',' << m.name;
     os << '\n';
   }
   for (std::size_t i = 0; i < reports.size(); ++i) {
-    os << cfg.seed + i << ',' << cfg.scheduler << ',' << cfg.routing << ','
+    os << cfg.seed + i << ',' << cfg.scheduler << ','
        << to_string(cfg.activation) << ',' << cfg.energy_request_percentage;
     for (const MetricRow& m : kMetrics) os << ',' << m.get(reports[i]);
     os << '\n';
