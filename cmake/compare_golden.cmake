@@ -4,17 +4,24 @@
 #
 #   cmake -DCMD=/path/to/tool "-DARGS=--json;out.json;..." -DOUT=out.json
 #         -DGOLDEN=tests/golden/x.json -P compare_golden.cmake
+#
+# With -DSTDOUT=ON the command's standard output is captured into OUT, for
+# programs that print their result (the bench_fig* tables).
 foreach(var IN ITEMS CMD OUT GOLDEN)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "compare_golden.cmake: ${var} is required")
   endif()
 endforeach()
 
+set(output OUTPUT_QUIET)
+if(STDOUT)
+  set(output OUTPUT_FILE ${OUT})
+endif()
 file(REMOVE ${OUT})
 execute_process(
   COMMAND ${CMD} ${ARGS}
   RESULT_VARIABLE rc
-  OUTPUT_QUIET
+  ${output}
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "command failed with exit code '${rc}'\nstderr: ${err}")

@@ -15,12 +15,12 @@
 namespace wrsn {
 
 // Which recharge-route scheduler drives the RVs is an open, string-keyed
-// choice: SimConfig::scheduler names a policy registered with the
-// SchedulerRegistry (sched/policy.hpp). Built-ins cover the paper's three
-// schemes (greedy, partition, combined) plus the library's ablation
-// baselines (nearest-first, fcfs, edf); wrsn::scheduler_names() enumerates
-// whatever is registered. Names are validated when parsed (core/config_io)
-// and again when the World instantiates the policy.
+// choice: SimConfig::scheduler names a row of the scheme table
+// (scheduler_table(), sched/policy.hpp): the paper's three schemes (greedy,
+// partition, combined) plus the library's ablation baselines
+// (nearest-first, fcfs, edf), enumerated by wrsn::scheduler_names(). Names
+// are validated when parsed (core/config_io) and again when the World
+// instantiates the policy.
 
 // How sensors inside a cluster are activated (Section III-C).
 enum class ActivationPolicy {

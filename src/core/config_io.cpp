@@ -59,10 +59,7 @@ std::string fmt(double v) {
 }
 
 std::string parse_scheduler(const std::string& v) {
-  if (!SchedulerRegistry::instance().contains(v)) {
-    throw InvalidArgument("unknown scheduler '" + v +
-                          "' (valid: " + join_names(scheduler_names()) + ")");
-  }
+  (void)scheduler_entry(v);  // throws listing the valid names
   return v;
 }
 

@@ -1,6 +1,8 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 
@@ -115,9 +117,11 @@ void Histogram::merge_from(const Histogram& other) {
 }
 
 std::vector<double> Histogram::timer_bounds_seconds() {
+  // step / 10^k with 10^k exact, so each bound is the double nearest its
+  // decimal value (a running decade product drifts in the last digits).
   std::vector<double> bounds;
-  for (double decade = 1e-6; decade < 10.0; decade *= 10.0) {
-    for (double step : {1.0, 2.0, 5.0}) bounds.push_back(decade * step);
+  for (int k = 8; k >= 0; --k) {
+    for (double step : {1.0, 2.0, 5.0}) bounds.push_back(step / std::pow(10.0, k));
   }
   bounds.push_back(10.0);
   return bounds;
@@ -247,7 +251,11 @@ std::string TelemetryRegistry::to_prometheus() const {
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < h->bounds().size(); ++i) {
       cumulative += counts[i];
-      line(n + "_bucket{le=\"" + std::to_string(h->bounds()[i]) + "\"} " +
+      // Shortest round-trip form: std::to_string's fixed six decimals would
+      // print every sub-microsecond bound as "0.000000".
+      char le[32];
+      const auto end = std::to_chars(le, le + sizeof(le), h->bounds()[i]).ptr;
+      line(n + "_bucket{le=\"" + std::string(le, end) + "\"} " +
            std::to_string(cumulative));
     }
     line(n + "_bucket{le=\"+Inf\"} " + std::to_string(h->count()));

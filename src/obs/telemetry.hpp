@@ -89,7 +89,9 @@ class Histogram {
   // bucket counts, totals, sum and min/max all add/extend.
   void merge_from(const Histogram& other);
 
-  // Default bounds for wall-clock timers: a 1-2-5 series from 1us to 10s.
+  // Default bounds for wall-clock timers: a 1-2-5 series from 10 ns to
+  // 10 s, so sub-microsecond scopes (planner/greedy, a sensor crossing)
+  // spread over buckets instead of all landing in the first.
   [[nodiscard]] static std::vector<double> timer_bounds_seconds();
 
  private:

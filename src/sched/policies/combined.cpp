@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "sched/plan_context.hpp"
-#include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
 
 namespace wrsn {
@@ -23,13 +22,8 @@ class CombinedPolicy final : public SchedulerPolicy {
 
 }  // namespace
 
-void register_combined_policy(SchedulerRegistry& registry) {
-  registry.add("combined",
-               "Combined-Scheme (Section IV-D-2): Algorithm 3 insertion "
-               "sequence over the global recharge list",
-               []() -> std::unique_ptr<SchedulerPolicy> {
-                 return std::make_unique<CombinedPolicy>();
-               });
+std::unique_ptr<SchedulerPolicy> make_combined_policy() {
+  return std::make_unique<CombinedPolicy>();
 }
 
 }  // namespace wrsn

@@ -2,7 +2,6 @@
 #include <memory>
 #include <vector>
 
-#include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
 
 namespace wrsn {
@@ -22,13 +21,8 @@ class EdfPolicy final : public SchedulerPolicy {
 
 }  // namespace
 
-void register_edf_policy(SchedulerRegistry& registry) {
-  registry.add("edf",
-               "extension baseline: affordable batch whose lowest member "
-               "battery fraction is smallest (earliest deadline)",
-               []() -> std::unique_ptr<SchedulerPolicy> {
-                 return std::make_unique<EdfPolicy>();
-               });
+std::unique_ptr<SchedulerPolicy> make_edf_policy() {
+  return std::make_unique<EdfPolicy>();
 }
 
 }  // namespace wrsn

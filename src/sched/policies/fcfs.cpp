@@ -3,7 +3,6 @@
 #include <memory>
 #include <vector>
 
-#include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
 
 namespace wrsn {
@@ -46,13 +45,8 @@ class FcfsPolicy final : public SchedulerPolicy {
 
 }  // namespace
 
-void register_fcfs_policy(SchedulerRegistry& registry) {
-  registry.add("fcfs",
-               "extension baseline: oldest affordable batch in "
-               "request-arrival order",
-               []() -> std::unique_ptr<SchedulerPolicy> {
-                 return std::make_unique<FcfsPolicy>();
-               });
+std::unique_ptr<SchedulerPolicy> make_fcfs_policy() {
+  return std::make_unique<FcfsPolicy>();
 }
 
 }  // namespace wrsn

@@ -2,7 +2,6 @@
 #include <memory>
 #include <vector>
 
-#include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
 
 namespace wrsn {
@@ -27,13 +26,8 @@ class GreedyPolicy final : public SchedulerPolicy {
 
 }  // namespace
 
-void register_greedy_policy(SchedulerRegistry& registry) {
-  registry.add("greedy",
-               "Algorithm 2 baseline: max recharge profit per step over raw "
-               "nodes, one destination at a time",
-               []() -> std::unique_ptr<SchedulerPolicy> {
-                 return std::make_unique<GreedyPolicy>();
-               });
+std::unique_ptr<SchedulerPolicy> make_greedy_policy() {
+  return std::make_unique<GreedyPolicy>();
 }
 
 }  // namespace wrsn

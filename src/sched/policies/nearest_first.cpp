@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "sched/plan_context.hpp"
-#include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
 
 namespace wrsn {
@@ -23,13 +22,8 @@ class NearestFirstPolicy final : public SchedulerPolicy {
 
 }  // namespace
 
-void register_nearest_first_policy(SchedulerRegistry& registry) {
-  registry.add("nearest-first",
-               "extension baseline: geographically nearest affordable batch "
-               "(critical clusters first), ignoring demand",
-               []() -> std::unique_ptr<SchedulerPolicy> {
-                 return std::make_unique<NearestFirstPolicy>();
-               });
+std::unique_ptr<SchedulerPolicy> make_nearest_first_policy() {
+  return std::make_unique<NearestFirstPolicy>();
 }
 
 }  // namespace wrsn

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sched/plan_context.hpp"
-#include "sched/policies/builtin.hpp"
 #include "sched/policy.hpp"
 
 namespace wrsn {
@@ -73,13 +72,8 @@ class PartitionPolicy final : public SchedulerPolicy {
 
 }  // namespace
 
-void register_partition_policy(SchedulerRegistry& registry) {
-  registry.add("partition",
-               "Partition-Scheme (Section IV-D-1): K-means groups matched "
-               "to RVs, Algorithm 3 within this RV's group",
-               []() -> std::unique_ptr<SchedulerPolicy> {
-                 return std::make_unique<PartitionPolicy>();
-               });
+std::unique_ptr<SchedulerPolicy> make_partition_policy() {
+  return std::make_unique<PartitionPolicy>();
 }
 
 }  // namespace wrsn

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "core/error.hpp"
-#include "sched/policies/builtin.hpp"
 
 namespace wrsn {
 
@@ -50,76 +49,58 @@ DispatchDecision fallback_single_node(const DispatchContext& ctx) {
   return DispatchDecision::self_charge();
 }
 
-SchedulerRegistry& SchedulerRegistry::instance() {
-  static SchedulerRegistry* registry = [] {
-    auto* r = new SchedulerRegistry();
-    // Paper schemes first, then the library's ablation baselines — the
-    // order names() reports and the docs table uses.
-    register_greedy_policy(*r);
-    register_partition_policy(*r);
-    register_combined_policy(*r);
-    register_nearest_first_policy(*r);
-    register_fcfs_policy(*r);
-    register_edf_policy(*r);
-    return r;
-  }();
-  return *registry;
-}
+// Factories, one per file in src/sched/policies/.
+std::unique_ptr<SchedulerPolicy> make_greedy_policy();
+std::unique_ptr<SchedulerPolicy> make_partition_policy();
+std::unique_ptr<SchedulerPolicy> make_combined_policy();
+std::unique_ptr<SchedulerPolicy> make_nearest_first_policy();
+std::unique_ptr<SchedulerPolicy> make_fcfs_policy();
+std::unique_ptr<SchedulerPolicy> make_edf_policy();
 
-void SchedulerRegistry::add(std::string name, std::string summary,
-                            Factory factory) {
-  WRSN_REQUIRE(!name.empty(), "scheduler name must be non-empty");
-  WRSN_REQUIRE(factory != nullptr,
-               "scheduler '" + name + "' needs a factory");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    WRSN_REQUIRE(e.name != name,
-                 "scheduler '" + name + "' is already registered");
-  }
-  entries_.push_back({std::move(name), std::move(summary), factory});
-}
+namespace {
 
-bool SchedulerRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.name == name) return true;
-  }
-  return false;
-}
+constexpr SchedulerEntry kSchedulers[] = {
+    {"greedy",
+     "Algorithm 2 baseline: max recharge profit per step over raw nodes, one "
+     "destination at a time",
+     make_greedy_policy},
+    {"partition",
+     "Partition-Scheme (Section IV-D-1): K-means groups matched to RVs, "
+     "Algorithm 3 within this RV's group",
+     make_partition_policy},
+    {"combined",
+     "Combined-Scheme (Section IV-D-2): Algorithm 3 insertion sequence over "
+     "the global recharge list",
+     make_combined_policy},
+    {"nearest-first",
+     "extension baseline: geographically nearest affordable batch (critical "
+     "clusters first), ignoring demand",
+     make_nearest_first_policy},
+    {"fcfs",
+     "extension baseline: oldest affordable batch in request-arrival order",
+     make_fcfs_policy},
+    {"edf",
+     "extension baseline: affordable batch whose lowest member battery "
+     "fraction is smallest (earliest deadline)",
+     make_edf_policy},
+};
 
-std::unique_ptr<SchedulerPolicy> SchedulerRegistry::create(
-    const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.name == name) return e.factory();
-    }
-  }
-  throw InvalidArgument("unknown scheduler '" + name +
-                        "' (valid: " + join_names(names()) + ")");
-}
+}  // namespace
 
-std::vector<std::string> SchedulerRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.name);
-  return out;
-}
+std::span<const SchedulerEntry> scheduler_table() { return kSchedulers; }
 
-std::string SchedulerRegistry::summary(const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry& e : entries_) {
-      if (e.name == name) return e.summary;
-    }
+const SchedulerEntry& scheduler_entry(const std::string& name) {
+  for (const SchedulerEntry& e : kSchedulers) {
+    if (e.name == name) return e;
   }
   throw InvalidArgument("unknown scheduler '" + name +
-                        "' (valid: " + join_names(names()) + ")");
+                        "' (valid: " + join_names(scheduler_names()) + ")");
 }
 
 std::vector<std::string> scheduler_names() {
-  return SchedulerRegistry::instance().names();
+  std::vector<std::string> out;
+  for (const SchedulerEntry& e : kSchedulers) out.emplace_back(e.name);
+  return out;
 }
 
 }  // namespace wrsn

@@ -1,7 +1,7 @@
 #pragma once
 // Pluggable scheduler-policy layer: every recharge-scheduling scheme is a
 // strategy object behind the SchedulerPolicy interface, selected by name
-// through the string-keyed SchedulerRegistry.
+// from the constant scheme table (scheduler_table()).
 //
 // A policy sees one idle RV's planning round through the narrow
 // DispatchContext facade (aggregated unclaimed items, the RV's plan state,
@@ -13,13 +13,11 @@
 // internals.
 //
 // Adding a scheme requires only a new file in src/sched/policies/ plus one
-// registration line in register_builtin_policies (sched/policy.cpp) — no
-// World, config or CLI edits. External code may also call
-// SchedulerRegistry::instance().add(...) before constructing a World.
+// row in the table in sched/policy.cpp — no World, config or CLI edits.
 
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -164,42 +162,24 @@ class SchedulerPolicy {
 // inherited from the batch), or go refill when nothing is affordable.
 [[nodiscard]] DispatchDecision fallback_single_node(const DispatchContext& ctx);
 
-// String-keyed registry of policy factories. Built-in schemes register on
-// first access; lookups are thread-safe (Worlds are constructed from the
-// replica thread pool).
-class SchedulerRegistry {
- public:
-  using Factory = std::unique_ptr<SchedulerPolicy> (*)();
-
-  static SchedulerRegistry& instance();
-
-  // Registers a policy. `summary` is a one-line description surfaced by
-  // `wrsn_sim --list-schedulers` and the README table. Throws
-  // InvalidArgument on a duplicate or empty name.
-  void add(std::string name, std::string summary, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-  // Instantiates the named policy; throws InvalidArgument listing the
-  // registered names when `name` is unknown.
-  [[nodiscard]] std::unique_ptr<SchedulerPolicy> create(
-      const std::string& name) const;
-  // Registered names, in registration order (paper schemes first).
-  [[nodiscard]] std::vector<std::string> names() const;
-  [[nodiscard]] std::string summary(const std::string& name) const;
-
- private:
-  SchedulerRegistry() = default;
-
-  struct Entry {
-    std::string name;
-    std::string summary;
-    Factory factory;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
+// One row of the scheme table: the name config and CLI select it by, the
+// one-line summary `--list-schedulers` and the README table show, and its
+// factory.
+struct SchedulerEntry {
+  const char* name;
+  const char* summary;
+  std::unique_ptr<SchedulerPolicy> (*make)();
 };
 
-// Convenience: SchedulerRegistry::instance().names().
+// Every scheme, paper schemes first, then the library's ablation baselines
+// (the order names and docs use).
+[[nodiscard]] std::span<const SchedulerEntry> scheduler_table();
+
+// The named scheme's row; throws InvalidArgument listing the valid names
+// when `name` is unknown.
+[[nodiscard]] const SchedulerEntry& scheduler_entry(const std::string& name);
+
+// The names of scheduler_table(), in order.
 [[nodiscard]] std::vector<std::string> scheduler_names();
 
 }  // namespace wrsn

@@ -15,13 +15,22 @@ namespace {
 // strictly satisfied at the handler despite floating-point residue.
 constexpr double kTimeEps = 1e-6;
 
-// "events/popped/<kind>" for every kind, assembled once per process so
-// set_telemetry (called once per replica in sweeps) does no string work.
-const std::array<std::string, kNumEventKinds>& popped_counter_names() {
-  static const std::array<std::string, kNumEventKinds> names = [] {
-    std::array<std::string, kNumEventKinds> out;
+// Counter names in World::counter_values() order, assembled once per
+// process so set_telemetry (called once per replica in sweeps) does no
+// string work.
+const std::vector<std::string>& counter_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
     for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-      out[k] = std::string("events/popped/") + kind_name(static_cast<EventKind>(k));
+      out.push_back(std::string("events/popped/") +
+                    kind_name(static_cast<EventKind>(k)));
+    }
+    for (const char* name :
+         {"events/stale-discarded", "world/battery-settlements",
+          "world/drain-updates", "fault/requests-lost", "fault/requests-retried",
+          "fault/requests-expired", "fault/rv-breakdowns",
+          "fault/failover-reinjected", "fault/sensor-hw-faults"}) {
+      out.emplace_back(name);
     }
     return out;
   }();
@@ -93,8 +102,8 @@ World::World(const SimConfig& config, WorldEngine engine)
     rvs_[r].pos = net_.base_station();
     rvs_[r].battery = Battery(config_.rv.capacity);
   }
-  // Throws with the registered names when config_.scheduler is unknown.
-  policy_ = SchedulerRegistry::instance().create(config_.scheduler);
+  // Throws with the valid names when config_.scheduler is unknown.
+  policy_ = scheduler_entry(config_.scheduler).make();
 
   // Cell size = sensing range, so candidate queries stay in a 3x3 block.
   target_index_.init(config_.field_side.value(), config_.sensing_range.value(),
@@ -141,35 +150,9 @@ MetricsReport World::run() {
 
 void World::set_telemetry(obs::TelemetryRegistry* registry) {
   telemetry_ = registry;
-  if (registry == nullptr) {
-    pop_counters_.fill(nullptr);
-    stale_counter_ = nullptr;
-    settle_counter_ = nullptr;
-    drain_update_counter_ = nullptr;
-    fault_lost_counter_ = nullptr;
-    fault_retried_counter_ = nullptr;
-    fault_expired_counter_ = nullptr;
-    fault_breakdown_counter_ = nullptr;
-    fault_failover_counter_ = nullptr;
-    fault_hw_fault_counter_ = nullptr;
-    queue_hwm_gauge_ = nullptr;
-    return;
-  }
-  const auto& names = popped_counter_names();
-  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
-    pop_counters_[k] = &registry->counter(names[k]);
-  }
-  stale_counter_ = &registry->counter("events/stale-discarded");
-  settle_counter_ = &registry->counter("world/battery-settlements");
-  drain_update_counter_ = &registry->counter("world/drain-updates");
-  fault_lost_counter_ = &registry->counter("fault/requests-lost");
-  fault_retried_counter_ = &registry->counter("fault/requests-retried");
-  fault_expired_counter_ = &registry->counter("fault/requests-expired");
-  fault_breakdown_counter_ = &registry->counter("fault/rv-breakdowns");
-  fault_failover_counter_ = &registry->counter("fault/failover-reinjected");
-  fault_hw_fault_counter_ = &registry->counter("fault/sensor-hw-faults");
-  queue_hwm_gauge_ = &registry->gauge("events/queue-high-water");
-  queue_hwm_gauge_->record_max(static_cast<double>(queue_hwm_));
+  if (registry == nullptr) return;
+  published_ = counter_values();
+  publish_telemetry();  // registers every counter and the gauge
   // Pre-register the scheduler timing scopes so an export always carries
   // them, even for schedulers that never enter a given path.
   for (const char* scope :
@@ -179,6 +162,30 @@ void World::set_telemetry(obs::TelemetryRegistry* registry) {
   }
 }
 
+std::array<std::uint64_t, World::kNumCounters> World::counter_values() const {
+  std::array<std::uint64_t, kNumCounters> out{};
+  std::copy(popped_.begin(), popped_.end(), out.begin());
+  const MetricsReport& m = metrics_.running();
+  const std::uint64_t rest[] = {
+      stale_discards_, settlements_, drain_updates_,
+      m.requests_lost, m.requests_retried, m.requests_expired,
+      m.rv_breakdowns, m.failover_reinjected, m.sensor_hw_faults};
+  std::copy(std::begin(rest), std::end(rest), out.begin() + kNumEventKinds);
+  return out;
+}
+
+void World::publish_telemetry() {
+  if (telemetry_ == nullptr) return;
+  const auto now = counter_values();
+  const auto& names = counter_names();
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    telemetry_->counter(names[i]).add(now[i] - published_[i]);
+  }
+  published_ = now;
+  telemetry_->gauge("events/queue-high-water")
+      .record_max(static_cast<double>(queue_hwm_));
+}
+
 void World::run_until(Second t_in) {
   // Install this world's registry (possibly null) on the running thread so
   // WRSN_OBS_SCOPE sites in the schedulers report here — and so a replica
@@ -186,45 +193,40 @@ void World::run_until(Second t_in) {
   const obs::TelemetryScope obs_scope(telemetry_);
   const double t = std::min(t_in.value(), end_);
   if (t <= now_) return;  // past or current horizon: nothing to do
+  // Every exit publishes: the horizon, a hook stop, and a failed run too.
+  try {
+    process_until(t);
+  } catch (...) {
+    publish_telemetry();
+    throw;
+  }
+  publish_telemetry();
+}
+
+void World::process_until(double t) {
   while (!queue_.empty() && queue_.top().time <= t) {
     const Event ev = queue_.pop();
     queue_hwm_ = std::max(queue_hwm_, queue_.size() + 1);
     // Lazy invalidation: predicted events must match their subject's epoch.
-    if (ev.kind == EventKind::kSensorCrossing &&
-        ev.epoch != soa_.epoch[ev.subject]) {
-      if (stale_counter_ != nullptr) stale_counter_->add();
-      continue;
-    }
-    if ((ev.kind == EventKind::kRvArrival || ev.kind == EventKind::kRvChargeDone ||
-         ev.kind == EventKind::kRvBaseChargeDone ||
-         ev.kind == EventKind::kRvRepaired) &&
-        ev.epoch != rvs_[ev.subject].epoch) {
-      if (stale_counter_ != nullptr) stale_counter_->add();
-      continue;
-    }
-    if (ev.kind == EventKind::kRequestUplink &&
-        ev.epoch != uplink_epoch_[ev.subject]) {
-      if (stale_counter_ != nullptr) stale_counter_->add();
+    const bool stale =
+        (ev.kind == EventKind::kSensorCrossing &&
+         ev.epoch != soa_.epoch[ev.subject]) ||
+        ((ev.kind == EventKind::kRvArrival || ev.kind == EventKind::kRvChargeDone ||
+          ev.kind == EventKind::kRvBaseChargeDone ||
+          ev.kind == EventKind::kRvRepaired) &&
+         ev.epoch != rvs_[ev.subject].epoch) ||
+        (ev.kind == EventKind::kRequestUplink &&
+         ev.epoch != uplink_epoch_[ev.subject]);
+    if (stale) {
+      ++stale_discards_;
       continue;
     }
     WRSN_DEBUG_ASSERT(ev.time + 1e-9 >= now_, "popped event older than now");
     advance_to(ev.time);
     handle(ev);
     ++events_processed_;
-    if (pop_counters_[static_cast<std::size_t>(ev.kind)] != nullptr) {
-      pop_counters_[static_cast<std::size_t>(ev.kind)]->add();
-    }
+    ++popped_[static_cast<std::size_t>(ev.kind)];
     if (tracer_) tracer_({ev.time, ev.kind, ev.subject, ev.epoch, queue_.size()});
-    if (trace_sink_ != nullptr || flight_ != nullptr) {
-      obs::TraceRecord rec;
-      rec.t = ev.time;
-      rec.kind = kind_name(ev.kind);
-      rec.subject = ev.subject;
-      rec.epoch = ev.epoch;
-      rec.queue_size = queue_.size();
-      if (trace_sink_ != nullptr) trace_sink_->on_event(rec);
-      if (flight_ != nullptr) flight_->record(rec);
-    }
     // Checkpoint hook: the event is fully handled and now_ == ev.time, so
     // the world is at a quiescent instant. A true return stops the run
     // *before* the horizon settle/advance below — resuming with another
@@ -233,42 +235,48 @@ void World::run_until(Second t_in) {
     // has been touched.
     if (checkpoint_hook_ && checkpoint_hook_(*this)) return;
   }
-  if (queue_hwm_gauge_ != nullptr) {
-    queue_hwm_gauge_->record_max(static_cast<double>(queue_hwm_));
-  }
   advance_to(t);
   // Public horizon: realize every battery at t so levels, alive counts and
   // the energy-conservation invariant are current for callers.
   settle_all_sensors();
   if (t >= end_) {
     finished_ = true;
-    if (spans_ != nullptr && !spans_closed_) close_spans();
+    close_spans();
   }
 }
 
+obs::TraceRecord to_trace_record(const World::TraceEvent& ev) {
+  return {ev.time, kind_name(ev.kind), ev.subject, ev.epoch, ev.queue_size};
+}
+
+void World::open_span(std::uint64_t& id, const char* track, std::size_t subject,
+                      const char* name, std::uint64_t parent) {
+  if (spans_ != nullptr) id = spans_->begin(track, subject, name, now_, parent);
+}
+
+void World::close_span(std::uint64_t& id, const char* outcome, double value) {
+  if (spans_ == nullptr) return;
+  spans_->end(id, now_, outcome, value);
+  id = 0;
+}
+
+void World::mark_span(std::uint64_t id, const char* name, double value) {
+  if (spans_ != nullptr && id != 0) spans_->mark(id, name, now_, "", value);
+}
+
 void World::close_spans() {
+  if (spans_ == nullptr || spans_closed_) return;
   spans_closed_ = true;
   // Deterministic close order (sensors ascending, then per-RV leg/breakdown/
   // tour) keeps span files byte-stable across runs.
   for (SensorId s = 0; s < request_span_.size(); ++s) {
-    if (request_span_[s] == 0) continue;
-    const char* outcome = net_.sensor(s).alive() ? "unserved" : "died-waiting";
-    spans_->end(request_span_[s], now_, outcome);
-    request_span_[s] = 0;
+    close_span(request_span_[s],
+               net_.sensor(s).alive() ? "unserved" : "died-waiting");
   }
   for (RvId r = 0; r < rvs_.size(); ++r) {
-    if (rv_leg_span_[r] != 0) {
-      spans_->end(rv_leg_span_[r], now_, "sim-end");
-      rv_leg_span_[r] = 0;
-    }
-    if (rv_breakdown_span_[r] != 0) {
-      spans_->end(rv_breakdown_span_[r], now_, "sim-end");
-      rv_breakdown_span_[r] = 0;
-    }
-    if (rv_tour_span_[r] != 0) {
-      spans_->end(rv_tour_span_[r], now_, "sim-end");
-      rv_tour_span_[r] = 0;
-    }
+    close_span(rv_leg_span_[r], "sim-end");
+    close_span(rv_breakdown_span_[r], "sim-end");
+    close_span(rv_tour_span_[r], "sim-end");
   }
 }
 
@@ -284,6 +292,7 @@ void World::inject_sensor_failure(SensorId s) {
   invalidate_crossing(s);
   handle_death(s);
   dispatch();
+  publish_telemetry();
 }
 
 MetricsReport World::report() const { return metrics_.finalize(Second{now_}); }
@@ -341,7 +350,7 @@ void World::settle_sensor(SensorId s) {
   net_.sensor(s).battery.set_level(Joule{soa_.level[s]});
   WRSN_DEBUG_ASSERT(soa_.level[s] >= 0.0 && soa_.level[s] <= soa_.capacity[s],
                     "battery level escaped [0, capacity]");
-  if (settle_counter_ != nullptr) settle_counter_->add();
+  ++settlements_;
   if (was_alive && soa_.level[s] <= 0.0) on_sensor_alive_changed(s, false);
 }
 
@@ -435,7 +444,7 @@ bool World::update_drain(SensorId s) {
         soa_.level[s] <= config_.battery.threshold().value() ? 1 : 0;
     queue_.push(when, EventKind::kSensorCrossing, s, soa_.epoch[s]);
   }
-  if (drain_update_counter_ != nullptr) drain_update_counter_->add();
+  ++drain_updates_;
   return true;
 }
 
@@ -931,9 +940,7 @@ void World::add_request(SensorId s) {
   request_time_[s] = now_;
   req_travel_accum_[s] = 0.0;  // fresh lifecycle: restart the breakdown clock
   metrics_.on_request();
-  if (spans_ != nullptr) {
-    request_span_[s] = spans_->begin("request", s, "request", now_);
-  }
+  open_span(request_span_[s], "request", s, "request");
   if (fault_ == nullptr) {
     deliver_request(s);
     return;
@@ -956,9 +963,7 @@ void World::deliver_request(SensorId s) {
   request.critical = sensor_critical(s);
   request.fraction = sensor.battery.fraction();
   requests_.add(std::move(request));
-  if (spans_ != nullptr && request_span_[s] != 0) {
-    spans_->mark(request_span_[s], "uplink-delivered", now_);
-  }
+  mark_span(request_span_[s], "uplink-delivered");
 }
 
 bool World::attempt_uplink(SensorId s) {
@@ -973,19 +978,14 @@ bool World::attempt_uplink(SensorId s) {
       // The packet is in flight; it lands (and is delivered unconditionally)
       // when the event fires.
       metrics_.on_request_delayed();
-      if (spans_ != nullptr && request_span_[s] != 0) {
-        spans_->mark(request_span_[s], "uplink-delay", now_, "", d.delay_s);
-      }
+      mark_span(request_span_[s], "uplink-delay", d.delay_s);
       uplink_pending_[s] = UplinkPending::kDeliver;
       queue_.push(now_ + d.delay_s, EventKind::kRequestUplink, s,
                   uplink_epoch_[s]);
       return false;
     case UplinkOutcome::kDrop:
       metrics_.on_request_lost();
-      if (fault_lost_counter_ != nullptr) fault_lost_counter_->add();
-      if (spans_ != nullptr && request_span_[s] != 0) {
-        spans_->mark(request_span_[s], "uplink-drop", now_);
-      }
+      mark_span(request_span_[s], "uplink-drop");
       if (attempt >= plan.max_retries()) {
         expire_request(s);
         return false;
@@ -1009,11 +1009,7 @@ void World::expire_request(SensorId s) {
   ++uplink_epoch_[s];
   uplink_pending_[s] = UplinkPending::kNone;
   metrics_.on_request_expired();
-  if (fault_expired_counter_ != nullptr) fault_expired_counter_->add();
-  if (spans_ != nullptr && request_span_[s] != 0) {
-    spans_->end(request_span_[s], now_, "expired");
-    request_span_[s] = 0;
-  }
+  close_span(request_span_[s], "expired");
   // The cluster may re-fire a fresh request at the next ERP evaluation.
 }
 
@@ -1032,10 +1028,7 @@ void World::on_request_uplink(SensorId s) {
   }
   if (pending == UplinkPending::kNone) return;  // stale safety net
   metrics_.on_request_retried();
-  if (fault_retried_counter_ != nullptr) fault_retried_counter_->add();
-  if (spans_ != nullptr && request_span_[s] != 0) {
-    spans_->mark(request_span_[s], "uplink-retry", now_);
-  }
+  mark_span(request_span_[s], "uplink-retry");
   if (attempt_uplink(s)) dispatch();
 }
 
@@ -1044,7 +1037,6 @@ void World::on_sensor_fault_start(SensorId s) {
   settle_sensor(s);
   soa_.hw_fault[s] = 1;
   metrics_.on_sensor_hw_fault();
-  if (fault_hw_fault_counter_ != nullptr) fault_hw_fault_counter_->add();
   Sensor& sensor = net_.sensor(s);
   if (!sensor.alive()) return;  // fault on a dead node only matters on revive
 
@@ -1142,9 +1134,7 @@ void World::handle_death(SensorId s) {
   // Annotation, not a terminal end: an RV can still revive the node, in
   // which case the span ends "served"; if it never does, close_spans turns
   // the open span into the "died-waiting" terminal.
-  if (spans_ != nullptr && request_span_[s] != 0) {
-    spans_->mark(request_span_[s], "sensor-died", now_);
-  }
+  mark_span(request_span_[s], "sensor-died");
 
   if (sensor.monitoring) {
     sensor.monitoring = false;
@@ -1180,7 +1170,7 @@ void World::record_sample() {
   p.covered = snap.covered_targets;
   p.coverable = snap.coverable_targets;
   p.pending_requests = requests_.size();
-  p.rv_travel_distance = metrics_.rv_travel_distance().value();
+  p.rv_travel_distance = metrics_.running().rv_travel_distance.value();
   series_.push_back(p);
 }
 

@@ -37,7 +37,6 @@
 #include "fault/fault.hpp"
 #include "net/network.hpp"
 #include "net/traffic.hpp"
-#include "obs/flight.hpp"
 #include "obs/spans.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -89,9 +88,15 @@ class World {
   void enable_time_series(bool on) { record_series_ = on; }
   [[nodiscard]] const TimeSeries& time_series() const { return series_; }
 
-  // Observer hook: called once per processed event (after state update).
-  // Set to nullptr to disable. Used for debugging, trace dumps and tests
-  // that assert event ordering.
+  // --- observers ----------------------------------------------------------
+  // Three streams, one setter each. All are observational only: attaching
+  // any of them never changes simulated physics (tests/test_observability,
+  // tests/test_spans). Pass nullptr to detach.
+
+  // Per-event hook: called once per processed event (after state update).
+  // The one per-event stream — trace sinks and the flight recorder consume
+  // it through to_trace_record (below), e2ebench's self-time ledger and
+  // tests that assert event ordering read it directly.
   struct TraceEvent {
     double time = 0.0;
     EventKind kind = EventKind::kSimEnd;
@@ -102,34 +107,25 @@ class World {
   using TraceFn = std::function<void(const TraceEvent&)>;
   void set_tracer(TraceFn tracer) { tracer_ = std::move(tracer); }
 
-  // Structured trace sink (obs/trace.hpp): receives every processed event as
-  // a TraceRecord. Subsumes set_tracer for serialization use cases; both may
-  // be attached at once. Pass nullptr to detach. The sink must outlive the
-  // run; finish() is left to the caller.
-  void set_trace_sink(obs::TraceSink* sink) { trace_sink_ = sink; }
-
   // Span tracing (obs/spans.hpp): the world opens, annotates and closes
   // lifecycle spans on the log — one root span per recharge request (ending
   // in exactly one of served / expired / died-waiting / unserved) and one
   // per RV tour with travel/charge/return legs and breakdown interruptions
-  // nested inside. Pass nullptr to detach. The log must outlive the run;
-  // spans still open at the horizon are closed when run_until reaches end_,
-  // but SpanLog::finish() (sink flush) is left to the owner. Observational
-  // only: attaching spans never changes simulated physics
-  // (tests/test_spans.cpp).
+  // nested inside. The log must outlive the run; spans still open at the
+  // horizon are closed when run_until reaches end_, but SpanLog::finish()
+  // (sink flush) is left to the owner.
   void set_span_log(obs::SpanLog* spans) { spans_ = spans; }
 
-  // Flight recorder (obs/flight.hpp): receives the same per-event
-  // TraceRecord stream as the trace sink into its bounded ring, for
-  // post-mortem dumps on assert failures / SIGINT. Pass nullptr to detach.
-  void set_flight_recorder(obs::FlightRecorder* recorder) { flight_ = recorder; }
-
-  // Attaches a telemetry registry (obs/telemetry.hpp): the event loop counts
-  // pops per EventKind, stale-epoch discards and the queue high-water mark,
-  // and while events are being processed the registry is installed on the
-  // running thread so WRSN_OBS_SCOPE timers in the schedulers report to it.
-  // Pass nullptr to detach. Telemetry is observational only: attaching it
-  // never changes simulated physics (tests/test_observability.cpp).
+  // Telemetry registry (obs/telemetry.hpp). The event loop keeps plain
+  // counts — pops per EventKind, stale-epoch discards, battery settlements,
+  // drain updates — and the queue high-water mark; attaching takes a
+  // baseline, and every exit of run_until (horizon, checkpoint-hook stop,
+  // exception) and of inject_sensor_failure publishes the deltas since then
+  // plus the high-water gauge, so the registry is current whenever they
+  // have returned. The
+  // fault/* counters are the same deltas of the MetricsReport fault counts.
+  // While events are processed the registry is also installed on the
+  // running thread, so WRSN_OBS_SCOPE timers in the schedulers report to it.
   void set_telemetry(obs::TelemetryRegistry* registry);
 
   // --- checkpointing (sim/snapshot.hpp) ---------------------------------
@@ -206,6 +202,9 @@ class World {
   void load_state(const WorldSnapshot& snap);
 
   // --- event handlers ------------------------------------------------------
+  // run_until's body: processes events up to t (stopping early when the
+  // checkpoint hook says so), then settles and closes the horizon.
+  void process_until(double t);
   void handle(const Event& ev);
   void on_slot_rotation();
   void on_target_move(TargetId t);
@@ -311,10 +310,29 @@ class World {
   [[nodiscard]] Joule rv_reserve() const;
   [[nodiscard]] const std::vector<RechargeItem>& unclaimed_items();
 
-  // --- misc ------------------------------------------------------------
+  // --- span helpers: the only code that reads spans_ ---------------------
+  // open_span stores the new span's id in `id`; close_span ends `id` and
+  // zeroes it (SpanLog::end ignores 0); mark_span annotates a live span and
+  // skips id 0, which SpanLog::mark would turn into a free-standing root.
+  // All three are no-ops without a span log.
+  void open_span(std::uint64_t& id, const char* track, std::size_t subject,
+                 const char* name, std::uint64_t parent = 0);
+  void close_span(std::uint64_t& id, const char* outcome, double value = 0.0);
+  void mark_span(std::uint64_t id, const char* name, double value = 0.0);
   // Ends every span still open at the simulation horizon (open requests
   // become "unserved" / "died-waiting", RV segments "sim-end"). Runs once.
   void close_spans();
+
+  // --- telemetry ---------------------------------------------------------
+  // Counter values in publish order: pops per EventKind, stale discards,
+  // settlements, drain updates, then the six fault/* MetricsReport counts.
+  static constexpr std::size_t kNumCounters = kNumEventKinds + 9;
+  [[nodiscard]] std::array<std::uint64_t, kNumCounters> counter_values() const;
+  // Adds the counter deltas since the last publish (or attach) to the
+  // registry and raises the queue high-water gauge. No-op when detached.
+  void publish_telemetry();
+
+  // --- misc ------------------------------------------------------------
   [[nodiscard]] double effective_erp() const;
   [[nodiscard]] bool sensor_critical(SensorId s) const;
   void record_sample();
@@ -409,14 +427,12 @@ class World {
   bool record_series_ = false;
   TimeSeries series_;
   TraceFn tracer_;
-  obs::TraceSink* trace_sink_ = nullptr;
   std::uint64_t events_processed_ = 0;
 
-  // Span tracing + flight recorder (optional, never physics-relevant).
-  // Cached span ids play the role the cached Counter* handles play for
-  // telemetry: the hot path updates them without any lookups.
+  // Span tracing (optional, never physics-relevant). Span ids are cached per
+  // subject so every lifecycle site updates them without lookups; only the
+  // span helpers above touch spans_.
   obs::SpanLog* spans_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
   bool spans_closed_ = false;
   std::vector<std::uint64_t> request_span_;       // per sensor, 0 = none
   std::vector<std::uint64_t> rv_tour_span_;       // per RV, 0 = not touring
@@ -429,22 +445,19 @@ class World {
   std::vector<double> leg_began_;         // per RV: departure of current leg
   std::vector<double> charge_began_;      // per RV: start of current dwell
 
-  // Telemetry (optional, never physics-relevant). Counter handles are
-  // resolved once in set_telemetry so the hot loops update them without
-  // registry lookups.
+  // Telemetry (optional, never physics-relevant). The counts below are
+  // bumped unconditionally and stay out of snapshots; publish_telemetry
+  // hands the registry their deltas since `published_`.
   obs::TelemetryRegistry* telemetry_ = nullptr;
-  std::array<obs::Counter*, kNumEventKinds> pop_counters_{};
-  obs::Counter* stale_counter_ = nullptr;
-  obs::Counter* settle_counter_ = nullptr;        // battery settlements
-  obs::Counter* drain_update_counter_ = nullptr;  // drain changes applied
-  obs::Counter* fault_lost_counter_ = nullptr;
-  obs::Counter* fault_retried_counter_ = nullptr;
-  obs::Counter* fault_expired_counter_ = nullptr;
-  obs::Counter* fault_breakdown_counter_ = nullptr;
-  obs::Counter* fault_failover_counter_ = nullptr;
-  obs::Counter* fault_hw_fault_counter_ = nullptr;
-  obs::Gauge* queue_hwm_gauge_ = nullptr;
+  std::array<std::uint64_t, kNumEventKinds> popped_{};
+  std::uint64_t stale_discards_ = 0;
+  std::uint64_t settlements_ = 0;    // battery settlements
+  std::uint64_t drain_updates_ = 0;  // drain changes applied
+  std::array<std::uint64_t, kNumCounters> published_{};
   std::size_t queue_hwm_ = 0;
 };
+
+// The trace-sink view of one processed event (kind as its stable name).
+[[nodiscard]] obs::TraceRecord to_trace_record(const World::TraceEvent& ev);
 
 }  // namespace wrsn

@@ -137,17 +137,12 @@ void World::assign_plan(Rv& rv, const std::vector<RechargeItem>& items,
     WRSN_ASSERT(!claimed_.contains(s), "sensor claimed twice");
     claimed_.insert(s);
     rv.service_queue.push_back(s);
-    if (spans_ != nullptr && request_span_[s] != 0) {
-      spans_->mark(request_span_[s], "claimed", now_, "",
-                   static_cast<double>(rv.id));
-    }
+    mark_span(request_span_[s], "claimed", static_cast<double>(rv.id));
   }
   if (!rv.in_field) {
     rv.in_field = true;
     metrics_.on_rv_tour_started();
-    if (spans_ != nullptr) {
-      rv_tour_span_[rv.id] = spans_->begin("rv", rv.id, "tour", now_);
-    }
+    open_span(rv_tour_span_[rv.id], "rv", rv.id, "tour");
   }
   start_next_leg(rv);
 }
@@ -173,10 +168,7 @@ void World::start_next_leg(Rv& rv) {
   const double arrive = now_ + (leg / config_.rv.speed).value();
   queue_.push(arrive, EventKind::kRvArrival, rv.id, rv.epoch);
   leg_began_[rv.id] = now_;
-  if (spans_ != nullptr) {
-    rv_leg_span_[rv.id] =
-        spans_->begin("rv", rv.id, "travel", now_, rv_tour_span_[rv.id]);
-  }
+  open_span(rv_leg_span_[rv.id], "rv", rv.id, "travel", rv_tour_span_[rv.id]);
 }
 
 void World::return_to_base(Rv& rv) {
@@ -184,10 +176,7 @@ void World::return_to_base(Rv& rv) {
   if (leg.value() <= 1e-9) {
     rv.pos = net_.base_station();
     rv.in_field = false;
-    if (spans_ != nullptr && rv_tour_span_[rv.id] != 0) {
-      spans_->end(rv_tour_span_[rv.id], now_, "completed");
-      rv_tour_span_[rv.id] = 0;
-    }
+    close_span(rv_tour_span_[rv.id], "completed");
     if (rv.battery.level() < rv.battery.capacity()) {
       begin_self_charge(rv);
     } else {
@@ -202,10 +191,7 @@ void World::return_to_base(Rv& rv) {
   rv.distance_traveled += leg.value();
   const double arrive = now_ + (leg / config_.rv.speed).value();
   queue_.push(arrive, EventKind::kRvArrival, rv.id, rv.epoch);
-  if (spans_ != nullptr) {
-    rv_leg_span_[rv.id] =
-        spans_->begin("rv", rv.id, "return", now_, rv_tour_span_[rv.id]);
-  }
+  open_span(rv_leg_span_[rv.id], "rv", rv.id, "return", rv_tour_span_[rv.id]);
 }
 
 void World::begin_self_charge(Rv& rv) {
@@ -213,9 +199,7 @@ void World::begin_self_charge(Rv& rv) {
   ++rv.epoch;
   const Second dwell = rv.battery.demand() / config_.rv.base_recharge_power;
   queue_.push(now_ + dwell.value(), EventKind::kRvBaseChargeDone, rv.id, rv.epoch);
-  if (spans_ != nullptr) {
-    rv_leg_span_[rv.id] = spans_->begin("rv", rv.id, "self-charge", now_);
-  }
+  open_span(rv_leg_span_[rv.id], "rv", rv.id, "self-charge");
 }
 
 void World::abandon_plan(Rv& rv) {
@@ -228,16 +212,8 @@ void World::on_rv_arrival(RvId r) {
   if (rv.state == Rv::State::kReturning) {
     rv.pos = net_.base_station();
     rv.in_field = false;
-    if (spans_ != nullptr) {
-      if (rv_leg_span_[r] != 0) {
-        spans_->end(rv_leg_span_[r], now_, "arrived");
-        rv_leg_span_[r] = 0;
-      }
-      if (rv_tour_span_[r] != 0) {
-        spans_->end(rv_tour_span_[r], now_, "completed");
-        rv_tour_span_[r] = 0;
-      }
-    }
+    close_span(rv_leg_span_[r], "arrived");
+    close_span(rv_tour_span_[r], "completed");
     if (rv.battery.level() < rv.battery.capacity()) {
       begin_self_charge(rv);
     } else {
@@ -254,13 +230,8 @@ void World::on_rv_arrival(RvId r) {
   rv.pos = net_.sensor(s).pos;
   rv.state = Rv::State::kCharging;
   ++rv.epoch;
-  if (spans_ != nullptr) {
-    if (rv_leg_span_[r] != 0) {
-      spans_->end(rv_leg_span_[r], now_, "arrived");
-      rv_leg_span_[r] = 0;
-    }
-    rv_leg_span_[r] = spans_->begin("rv", r, "charge", now_, rv_tour_span_[r]);
-  }
+  close_span(rv_leg_span_[r], "arrived");
+  open_span(rv_leg_span_[r], "rv", r, "charge", rv_tour_span_[r]);
   settle_sensor(s);  // dwell is computed from the node's current level
   // Deliver up to the node's demand, bounded by what the RV can spare and
   // still make it home (constraint (7) + the reserve).
@@ -315,16 +286,8 @@ void World::on_rv_charge_done(RvId r) {
   }
   rv.energy_delivered += delivered.value();
   ++rv.nodes_served;
-  if (spans_ != nullptr) {
-    if (rv_leg_span_[r] != 0) {
-      spans_->end(rv_leg_span_[r], now_, "served", delivered.value());
-      rv_leg_span_[r] = 0;
-    }
-    if (request_span_[s] != 0) {
-      spans_->end(request_span_[s], now_, "served", delivered.value());
-      request_span_[s] = 0;
-    }
-  }
+  close_span(rv_leg_span_[r], "served", delivered.value());
+  close_span(request_span_[s], "served", delivered.value());
 
   sensor.recharge_requested = false;
   requests_.remove(s);
@@ -378,10 +341,7 @@ void World::on_rv_base_charge_done(RvId r) {
   const Joule drawn = rv.battery.demand();
   rv.battery.refill();
   metrics_.on_rv_base_recharge(drawn);
-  if (spans_ != nullptr && rv_leg_span_[r] != 0) {
-    spans_->end(rv_leg_span_[r], now_, "refilled", drawn.value());
-    rv_leg_span_[r] = 0;
-  }
+  close_span(rv_leg_span_[r], "refilled", drawn.value());
   rv.state = Rv::State::kIdle;
   dispatch();
 }
@@ -403,14 +363,8 @@ void World::on_rv_breakdown(RvId r) {
   ++rv.epoch;
   rv.state = Rv::State::kBrokenDown;
   breakdown_began_[r] = now_;
-  if (spans_ != nullptr) {
-    if (rv_leg_span_[r] != 0) {
-      spans_->end(rv_leg_span_[r], now_, "interrupted");
-      rv_leg_span_[r] = 0;
-    }
-    rv_breakdown_span_[r] =
-        spans_->begin("rv", r, "breakdown", now_, rv_tour_span_[r]);
-  }
+  close_span(rv_leg_span_[r], "interrupted");
+  open_span(rv_breakdown_span_[r], "rv", r, "breakdown", rv_tour_span_[r]);
 
   std::size_t stranded = 0;
   if (config_.fault.rv_failover) {
@@ -420,9 +374,7 @@ void World::on_rv_breakdown(RvId r) {
     for (SensorId s : rv.service_queue) {
       claimed_.erase(s);
       if (stranded_since_[s] < 0.0) stranded_since_[s] = now_;
-      if (spans_ != nullptr && request_span_[s] != 0) {
-        spans_->mark(request_span_[s], "stranded", now_);
-      }
+      mark_span(request_span_[s], "stranded");
       ++stranded;
     }
     rv.service_queue.clear();
@@ -430,10 +382,6 @@ void World::on_rv_breakdown(RvId r) {
                       "recharge list inconsistent after failover re-injection");
   }
   metrics_.on_rv_breakdown(stranded);
-  if (fault_breakdown_counter_ != nullptr) fault_breakdown_counter_->add();
-  if (fault_failover_counter_ != nullptr && stranded > 0) {
-    fault_failover_counter_->add(stranded);
-  }
 
   queue_.push(w.end, EventKind::kRvRepaired, r, rv.epoch);
   if (stranded > 0) dispatch();
@@ -446,19 +394,13 @@ void World::on_rv_repaired(RvId r) {
   metrics_.on_rv_repaired(Second{now_ - breakdown_began_[r]});
   breakdown_began_[r] = -1.0;
   ++rv.epoch;
-  if (spans_ != nullptr && rv_breakdown_span_[r] != 0) {
-    spans_->end(rv_breakdown_span_[r], now_, "repaired");
-    rv_breakdown_span_[r] = 0;
-  }
+  close_span(rv_breakdown_span_[r], "repaired");
 
   if (config_.fault.rv_failover || rv.service_queue.empty()) {
     // Towed back to base and refilled by the repair crew.
     rv.pos = net_.base_station();
     rv.in_field = false;
-    if (spans_ != nullptr && rv_tour_span_[r] != 0) {
-      spans_->end(rv_tour_span_[r], now_, "towed");
-      rv_tour_span_[r] = 0;
-    }
+    close_span(rv_tour_span_[r], "towed");
     const Joule drawn = rv.battery.demand();
     if (drawn.value() > 0.0) {
       rv.battery.refill();

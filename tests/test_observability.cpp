@@ -115,7 +115,9 @@ TEST(Observability, TraceSinkDoesNotPerturb) {
   World traced(obs_config());
   std::ostringstream jsonl;
   obs::JsonlTraceSink sink(jsonl);
-  traced.set_trace_sink(&sink);
+  traced.set_tracer([&sink](const World::TraceEvent& ev) {
+    sink.on_event(to_trace_record(ev));
+  });
   const MetricsReport a = plain.run();
   const MetricsReport b = traced.run();
   sink.finish();
@@ -127,6 +129,28 @@ TEST(Observability, TraceSinkDoesNotPerturb) {
   while (std::getline(lines, line)) {
     ASSERT_TRUE(json_validate(line, &error)) << error << ": " << line;
   }
+}
+
+TEST(Observability, HookStoppedRunPublishesTelemetry) {
+  // A checkpoint-hook stop (a watchdog timeout, a signal) is an exit of
+  // run_until like the horizon: the registry must carry the pop counts and
+  // the queue high-water mark of the events processed so far.
+  World w(SimConfig::paper_defaults());
+  obs::TelemetryRegistry registry;
+  w.set_telemetry(&registry);
+  std::size_t events = 0;
+  w.set_checkpoint_hook([&events](const World&) { return ++events == 500; });
+  w.run();
+  ASSERT_FALSE(w.finished());
+  std::uint64_t popped = 0;
+  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+    popped += registry
+                  .counter(std::string("events/popped/") +
+                           kind_name(static_cast<EventKind>(k)))
+                  .value();
+  }
+  EXPECT_EQ(popped, 500u);
+  EXPECT_GT(registry.gauge("events/queue-high-water").value(), 0.0);
 }
 
 TEST(Observability, DisabledTelemetryAddsNoEvents) {

@@ -59,18 +59,18 @@ struct Round {
 };
 
 std::unique_ptr<SchedulerPolicy> make(const std::string& name) {
-  return SchedulerRegistry::instance().create(name);
+  return scheduler_entry(name).make();
 }
 
-// --- registry ------------------------------------------------------------
+// --- scheme table --------------------------------------------------------
 
 TEST(SchedulerRegistry, BuiltinsRegisteredInOrder) {
   const std::vector<std::string> expected = {
       "greedy", "partition", "combined", "nearest-first", "fcfs", "edf"};
   EXPECT_EQ(scheduler_names(), expected);
   for (const std::string& name : expected) {
-    EXPECT_TRUE(SchedulerRegistry::instance().contains(name));
-    EXPECT_FALSE(SchedulerRegistry::instance().summary(name).empty());
+    EXPECT_STREQ(scheduler_entry(name).name, name.c_str());
+    EXPECT_STRNE(scheduler_entry(name).summary, "");
     EXPECT_NE(make(name), nullptr);
   }
 }
@@ -86,18 +86,6 @@ TEST(SchedulerRegistry, UnknownNameThrowsListingValidNames) {
       EXPECT_NE(msg.find(name), std::string::npos) << msg;
     }
   }
-}
-
-TEST(SchedulerRegistry, RejectsDuplicatesAndBadEntries) {
-  SchedulerRegistry& registry = SchedulerRegistry::instance();
-  const auto factory = []() -> std::unique_ptr<SchedulerPolicy> {
-    return nullptr;
-  };
-  EXPECT_THROW(registry.add("greedy", "dup", factory), InvalidArgument);
-  EXPECT_THROW(registry.add("", "anonymous", factory), InvalidArgument);
-  EXPECT_THROW(registry.add("null-factory", "no factory", nullptr),
-               InvalidArgument);
-  EXPECT_FALSE(registry.contains("null-factory"));
 }
 
 // --- cross-policy edge cases --------------------------------------------

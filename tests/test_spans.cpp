@@ -18,6 +18,7 @@
 #include "core/json.hpp"
 #include "obs/flight.hpp"
 #include "obs/spans.hpp"
+#include "obs/trace.hpp"
 #include "sim/world.hpp"
 
 namespace wrsn {
@@ -210,7 +211,8 @@ TEST(Spans, FaultInjectionShowsUpAsAnnotations) {
 
 TEST(Spans, HeisenbergRuleReportByteIdentical) {
   // Physics must be byte-identical with the full instrument stack attached:
-  // JSONL spans + Chrome exporter + flight recorder.
+  // JSONL spans + Chrome exporter, and a JSONL event trace + flight recorder
+  // fed by the one tracer.
   World bare(span_config());
   const std::string bare_json = to_json(bare.run());
 
@@ -218,16 +220,23 @@ TEST(Spans, HeisenbergRuleReportByteIdentical) {
   obs::JsonlSpanSink jsink(jsonl);
   obs::ChromeTraceSink csink(chrome);
   obs::SpanLog log(&jsink, &csink);
+  std::ostringstream trace;
+  obs::JsonlTraceSink tsink(trace);
   obs::FlightRecorder flight(64);
   World observed(span_config());
   observed.set_span_log(&log);
-  observed.set_flight_recorder(&flight);
+  observed.set_tracer([&](const World::TraceEvent& ev) {
+    const obs::TraceRecord rec = to_trace_record(ev);
+    tsink.on_event(rec);
+    flight.record(rec);
+  });
   const std::string observed_json = to_json(observed.run());
   log.finish(observed.now().value());
 
   EXPECT_EQ(bare_json, observed_json);
   EXPECT_GT(log.spans_emitted(), 100u);
   EXPECT_GT(flight.events_seen(), 100u);
+  EXPECT_EQ(tsink.events_written(), flight.events_seen());
 }
 
 TEST(Spans, LatencyBreakdownDecomposesEndToEndLatency) {

@@ -2,6 +2,7 @@
 // merge exactness, export formats, and the JSONL trace schema contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -149,6 +150,32 @@ TEST(Telemetry, MergeIsExact) {
   EXPECT_EQ(counts[0], 1u);
   EXPECT_EQ(counts[1], 1u);
   EXPECT_EQ(counts[2], 1u);
+}
+
+TEST(Telemetry, TimerBoundsResolveSubMicrosecondScopes) {
+  const std::vector<double> bounds = Histogram::timer_bounds_seconds();
+  EXPECT_DOUBLE_EQ(bounds.front(), 1e-8);
+  EXPECT_DOUBLE_EQ(bounds.back(), 10.0);
+  EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
+  Histogram h(bounds);
+  h.observe(0.3e-6);
+  const auto counts = h.bucket_counts();
+  EXPECT_EQ(counts[0], 0u);  // not floored into the first bucket
+  const auto bucket = static_cast<std::size_t>(
+      std::find(counts.begin(), counts.end(), 1u) - counts.begin());
+  EXPECT_DOUBLE_EQ(bounds[bucket], 0.5e-6);
+}
+
+TEST(Telemetry, PrometheusBucketLabelsAreDistinct) {
+  TelemetryRegistry reg;
+  reg.timer("t").observe(2e-8);
+  const std::string text = reg.to_prometheus();
+  EXPECT_NE(text.find("wrsn_t_seconds_bucket{le=\"1e-08\"} 0"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("wrsn_t_seconds_bucket{le=\"2e-08\"} 1"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("wrsn_t_seconds_bucket{le=\"1e-06\"} 1"), std::string::npos)
+      << text;
 }
 
 TEST(Telemetry, JsonExportIsValidAndVersioned) {

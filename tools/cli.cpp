@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstring>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -23,12 +24,14 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 extern "C" void request_stop(int) { g_stop_requested = 1; }
 
 // Name + summary per line, names padded to one column.
-void print_registry(const SchedulerRegistry& registry) {
+void print_schedulers() {
   std::size_t width = 0;
-  for (const std::string& name : registry.names()) width = std::max(width, name.size());
-  for (const std::string& name : registry.names()) {
-    std::cout << std::left << std::setw(static_cast<int>(width) + 2) << name
-              << registry.summary(name) << '\n';
+  for (const SchedulerEntry& e : scheduler_table()) {
+    width = std::max(width, std::strlen(e.name));
+  }
+  for (const SchedulerEntry& e : scheduler_table()) {
+    std::cout << std::left << std::setw(static_cast<int>(width) + 2) << e.name
+              << e.summary << '\n';
   }
 }
 
@@ -91,7 +94,7 @@ FlagTable::FlagTable(std::string tool, std::string summary)
              }),
              discover_flag("--list-schedulers",
                            "list registered scheduler policies with summaries",
-                           [] { print_registry(SchedulerRegistry::instance()); }),
+                           print_schedulers),
              // `key=v1,v2,...` lines split straight into --sweep specs.
              discover_flag("--list",
                            "list every enum-like knob as a --sweep KEY=V1,V2,... line",
@@ -281,7 +284,19 @@ Instruments::Instruments(std::ostream* spans, std::ostream* chrome,
 void Instruments::attach(World& world, obs::TelemetryRegistry* telemetry) const {
   world.set_telemetry(telemetry);
   world.set_span_log(span_log.get());
-  world.set_flight_recorder(flight.get());
+  attach_tracer(world);
+}
+
+void Instruments::attach_tracer(World& world) const {
+  if (trace == nullptr && flight == nullptr) {
+    world.set_tracer(nullptr);
+    return;
+  }
+  world.set_tracer([sink = trace, recorder = flight.get()](const World::TraceEvent& ev) {
+    const obs::TraceRecord rec = to_trace_record(ev);
+    if (sink != nullptr) sink->on_event(rec);
+    if (recorder != nullptr) recorder->record(rec);
+  });
 }
 
 SingleRun::SingleRun(const std::string& tool, Options& options,
@@ -355,6 +370,11 @@ SingleRun::SingleRun(const std::string& tool, Options& options,
     }
     return false;
   });
+}
+
+void SingleRun::trace_to(obs::TraceSink& sink) {
+  instruments_->trace = &sink;
+  instruments_->attach_tracer(*world_);
 }
 
 bool SingleRun::run() {

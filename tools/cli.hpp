@@ -89,14 +89,19 @@ void add_observe_group(FlagTable& table, Options& options, bool per_replica);
 void add_checkpoint_group(FlagTable& table, Options& options);
 
 // Span/Chrome sinks over caller-owned streams (null = off), the span log
-// over them and a flight recorder (capacity 0 = off). All observational:
-// the report is byte-identical with or without them.
+// over them, a flight recorder (capacity 0 = off) and an optional
+// caller-owned event sink (wrsn_trace's --out). All observational: the
+// report is byte-identical with or without them.
 struct Instruments {
   Instruments(std::ostream* spans, std::ostream* chrome,
               std::size_t flight_capacity, std::string flight_label);
-  // Attaches the span log, the flight recorder and `telemetry` (may be null).
+  // Attaches `telemetry` (may be null), the span log and the tracer.
   void attach(World& world, obs::TelemetryRegistry* telemetry) const;
+  // The world's one tracer: each event becomes one TraceRecord for the
+  // event sink and the flight recorder. Detached when both are off.
+  void attach_tracer(World& world) const;
 
+  obs::TraceSink* trace = nullptr;
   std::unique_ptr<obs::JsonlSpanSink> spans_sink;
   std::unique_ptr<obs::ChromeTraceSink> chrome_sink;
   std::unique_ptr<obs::SpanLog> span_log;
@@ -114,6 +119,8 @@ class SingleRun {
             obs::TelemetryRegistry* telemetry);
 
   [[nodiscard]] World& world() { return *world_; }
+  // Feeds every processed event to `sink` (alongside the flight recorder).
+  void trace_to(obs::TraceSink& sink);
 
   // Runs to the horizon and closes the spans. After a signal stop it saves
   // the terminal snapshot, dumps the flight recorder and returns false.

@@ -8,15 +8,14 @@
 //   jsonl  schema-versioned JSON lines; line 1 is a meta record
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "cli.hpp"
 #include "core/error.hpp"
 #include "obs/flight.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "sim/world.hpp"
 
 int main(int argc, char** argv) try {
   using namespace wrsn;
@@ -44,7 +43,6 @@ int main(int argc, char** argv) try {
 
   obs::TelemetryRegistry registry;
   cli::SingleRun run("wrsn_trace", options, options.telemetry(registry));
-  World& world = run.world();
 
   std::ofstream file;
   if (!out_path.empty()) {
@@ -52,17 +50,16 @@ int main(int argc, char** argv) try {
     WRSN_REQUIRE(file.good(), "cannot open '" + out_path + "'");
   }
   std::ostream& out = file.is_open() ? static_cast<std::ostream&>(file) : std::cout;
-  std::unique_ptr<obs::TraceSink> sink;
-  if (format == "jsonl") {
-    sink = std::make_unique<obs::JsonlTraceSink>(out);
-  } else {
-    sink = std::make_unique<obs::CsvTraceSink>(out);
-  }
-  world.set_trace_sink(sink.get());
-  std::size_t count = 0;
-  world.set_tracer([&](const World::TraceEvent&) { ++count; });
-  const bool finished = run.run();
-  sink->finish();
+  // Runs with `sink` fed by the one tracer; returns (finished, events traced).
+  auto trace_with = [&run](auto&& sink) {
+    run.trace_to(sink);
+    const bool finished = run.run();
+    sink.finish();
+    return std::pair{finished, sink.events_written()};
+  };
+  const auto [finished, count] = format == "jsonl"
+                                     ? trace_with(obs::JsonlTraceSink(out))
+                                     : trace_with(obs::CsvTraceSink(out));
   if (!finished) return cli::kStoppedBySignal;
   if (!options.spans_path.empty()) {
     std::cerr << "wrote spans to " << options.spans_path << '\n';
