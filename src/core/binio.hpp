@@ -72,6 +72,10 @@ class BinReader {
     v = static_cast<std::size_t>(w);
   }
   void str(std::string& s);
+  // Reads an element count and checks that that many elements of at least
+  // `min_bytes` encoded bytes fit in the rest of the payload, so every
+  // count-prefixed decoder refuses a corrupt count before it allocates.
+  [[nodiscard]] std::size_t count(std::size_t min_bytes);
 
   template <typename T>
   void vec(std::vector<T>& v);
@@ -105,11 +109,10 @@ void BinWriter::vec(const std::vector<T>& v) {
 
 template <typename T>
 void BinReader::vec(std::vector<T>& v) {
-  std::uint64_t n = 0;
-  u64(n);
+  const std::size_t n = count(sizeof(T));
   v.clear();
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  v.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     T e{};
     bin_io(*this, e);
     v.push_back(e);

@@ -16,7 +16,7 @@ class CombinedPolicy final : public SchedulerPolicy {
     std::vector<bool> taken(ctx.items().size(), false);
     std::vector<std::size_t> seq = plan.insertion_sequence(ctx.rv(), taken);
     if (seq.empty()) return fallback_single_node(ctx);
-    return DispatchDecision::plan(ctx.items(), std::move(seq));
+    return DispatchDecision::plan(ctx.items(), seq);
   }
 };
 

@@ -11,17 +11,17 @@ namespace {
 class FcfsPolicy final : public SchedulerPolicy {
  public:
   DispatchDecision decide(const DispatchContext& ctx) const override {
-    // The oldest unclaimed request decides which batch goes next (the
-    // arrival order preserves the recharge node list's FIFO contract). A
-    // batch whose tour cost exceeds the RV's budget is skipped in favour of
-    // the next-oldest affordable one — an oversized head batch must not
-    // starve the rest of the queue.
+    // The oldest unclaimed request (the recharge node list keeps arrival
+    // order) decides which batch goes next. A batch whose tour cost exceeds
+    // the RV's budget is skipped in favour of the next-oldest affordable
+    // one — an oversized head batch must not starve the rest of the queue.
     const std::vector<RechargeItem>& items = ctx.items();
     std::vector<bool> considered(items.size(), false);
-    for (const SensorId oldest : ctx.arrival_order()) {
+    for (const RechargeRequest& oldest : ctx.requests().requests()) {
+      if (oldest.claimed) continue;
       for (std::size_t i = 0; i < items.size(); ++i) {
         const auto& sensors = items[i].sensors;
-        if (std::find(sensors.begin(), sensors.end(), oldest) ==
+        if (std::find(sensors.begin(), sensors.end(), oldest.sensor) ==
             sensors.end()) {
           continue;
         }

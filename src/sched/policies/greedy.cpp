@@ -1,6 +1,5 @@
 // Greedy-Scheme (Algorithm 2): the paper's baseline scheduler.
 #include <memory>
-#include <vector>
 
 #include "sched/policy.hpp"
 
@@ -13,14 +12,8 @@ class GreedyPolicy final : public SchedulerPolicy {
     // The baseline of Algorithm 2 predates the cluster aggregation of
     // Section IV-C: it scores raw nodes and drives to one node at a time,
     // which is exactly the inefficiency the paper calls out.
-    std::vector<RechargeItem> singles =
-        ctx.singles(ctx.items(), DispatchContext::SinglesCritical::kFresh);
-    std::vector<bool> taken(singles.size(), false);
-    if (const auto next =
-            greedy_next(ctx.rv(), singles, taken, ctx.params())) {
-      return DispatchDecision::plan(std::move(singles), {*next});
-    }
-    return DispatchDecision::self_charge();
+    return best_single_node(ctx, ctx.items(),
+                            DispatchContext::SinglesCritical::kFresh);
   }
 };
 

@@ -53,20 +53,10 @@ class PartitionPolicy final : public SchedulerPolicy {
     if (group_seq.empty()) {
       // Unaffordable as aggregates: serve the best raw node within the
       // group, or refill first.
-      std::vector<RechargeItem> singles =
-          ctx.singles(group_items, DispatchContext::SinglesCritical::kFresh);
-      std::vector<bool> staken(singles.size(), false);
-      if (const auto next =
-              greedy_next(ctx.rv(), singles, staken, ctx.params())) {
-        return DispatchDecision::plan(std::move(singles), {*next});
-      }
-      return DispatchDecision::self_charge();
+      return best_single_node(ctx, group_items,
+                              DispatchContext::SinglesCritical::kFresh);
     }
-    // Map back to the global item indexing.
-    std::vector<std::size_t> seq;
-    seq.reserve(group_seq.size());
-    for (std::size_t gi : group_seq) seq.push_back((*best_group)[gi]);
-    return DispatchDecision::plan(items, std::move(seq));
+    return DispatchDecision::plan(group_items, group_seq);
   }
 };
 

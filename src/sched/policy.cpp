@@ -23,12 +23,12 @@ std::vector<RechargeItem> DispatchContext::singles(
   std::vector<RechargeItem> out;
   for (const RechargeItem& item : from) {
     for (SensorId s : item.sensors) {
-      const SensorView v = view_(s);
+      const RechargeRequest& r = requests_->request(s);
       RechargeItem one;
-      one.pos = v.pos;
-      one.demand = v.demand;
+      one.pos = r.pos;
+      one.demand = r.demand;
       one.critical =
-          mode == SinglesCritical::kFresh ? v.critical : item.critical;
+          mode == SinglesCritical::kFresh ? r.critical : item.critical;
       one.sensors = {s};
       out.push_back(std::move(one));
     }
@@ -36,17 +36,22 @@ std::vector<RechargeItem> DispatchContext::singles(
   return out;
 }
 
-DispatchDecision fallback_single_node(const DispatchContext& ctx) {
-  // Aggregated batches may exceed what this RV can afford in one tour;
-  // fall back to the single most profitable raw request.
-  std::vector<RechargeItem> singles =
-      ctx.singles(ctx.items(), DispatchContext::SinglesCritical::kInherit);
+DispatchDecision best_single_node(const DispatchContext& ctx,
+                                  const std::vector<RechargeItem>& from,
+                                  DispatchContext::SinglesCritical mode) {
+  const std::vector<RechargeItem> singles = ctx.singles(from, mode);
   std::vector<bool> taken(singles.size(), false);
   if (const auto next = greedy_next(ctx.rv(), singles, taken, ctx.params())) {
-    return DispatchDecision::plan(std::move(singles), {*next});
+    return DispatchDecision::plan(singles, {*next});
   }
   // Nothing affordable: top up at base, or come home.
   return DispatchDecision::self_charge();
+}
+
+DispatchDecision fallback_single_node(const DispatchContext& ctx) {
+  // Aggregated batches may exceed what this RV can afford in one tour.
+  return best_single_node(ctx, ctx.items(),
+                          DispatchContext::SinglesCritical::kInherit);
 }
 
 // Factories, one per file in src/sched/policies/.

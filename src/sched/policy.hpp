@@ -4,18 +4,17 @@
 // from the constant scheme table (scheduler_table()).
 //
 // A policy sees one idle RV's planning round through the narrow
-// DispatchContext facade (aggregated unclaimed items, the RV's plan state,
-// planner params, fleet positions, the scheduling RNG and the
-// request-arrival order) and answers with a DispatchDecision: a visiting
-// sequence over an item list, return-to-base, self-charge, or hold. The
-// World owns the shared fallback mechanics (claiming, tour construction,
-// the actual return/self-charge transitions); policies never touch World
-// internals.
+// DispatchContext facade (aggregated unclaimed items, the refreshed recharge
+// node list they were folded from, the RV's plan state, planner params,
+// fleet positions and the scheduling RNG) and answers with a
+// DispatchDecision: the stops to visit in order, return-to-base,
+// self-charge, or hold. The World owns the shared fallback mechanics
+// (claiming, tour construction, the actual return/self-charge transitions);
+// policies never touch World internals.
 //
 // Adding a scheme requires only a new file in src/sched/policies/ plus one
 // row in the table in sched/policy.cpp — no World, config or CLI edits.
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -31,42 +30,34 @@
 
 namespace wrsn {
 
-// Base-station view of one sensor at dispatch time: position, outstanding
-// demand and the critical flag, all current as of the latest settlement.
-struct SensorView {
-  Vec2 pos;
-  Joule demand;
-  bool critical = false;
-};
-
 // Read-only facade over the state a policy may consult for one idle RV.
 // All referenced containers must outlive the context (the World builds it
 // on the stack per dispatch round; tests build it from plain vectors).
 class DispatchContext {
  public:
-  using SensorViewFn = std::function<SensorView(SensorId)>;
-
   DispatchContext(const std::vector<RechargeItem>& items,
-                  const RvPlanState& rv, const PlannerParams& params,
-                  std::size_t rv_id, const std::vector<Vec2>& fleet_positions,
+                  const RechargeNodeList& requests, const RvPlanState& rv,
+                  const PlannerParams& params, std::size_t rv_id,
+                  const std::vector<Vec2>& fleet_positions,
                   std::size_t num_groups, Xoshiro256& sched_rng,
-                  const std::vector<SensorId>& arrival_order,
-                  SensorViewFn sensor_view, PlanArena* arena = nullptr)
+                  PlanArena* arena = nullptr)
       : items_(&items),
+        requests_(&requests),
         rv_(&rv),
         params_(&params),
         rv_id_(rv_id),
         fleet_(&fleet_positions),
         num_groups_(num_groups),
         rng_(&sched_rng),
-        arrival_(&arrival_order),
-        view_(std::move(sensor_view)),
         arena_(arena) {}
 
   // Aggregated unclaimed recharge items (cluster batches / lone nodes).
   [[nodiscard]] const std::vector<RechargeItem>& items() const {
     return *items_;
   }
+  // The recharge node list items() was folded from, oldest request first;
+  // its unclaimed requests were refreshed for this round.
+  [[nodiscard]] const RechargeNodeList& requests() const { return *requests_; }
   // The RV being planned for: position and spendable energy budget.
   [[nodiscard]] const RvPlanState& rv() const { return *rv_; }
   [[nodiscard]] const PlannerParams& params() const { return *params_; }
@@ -81,18 +72,13 @@ class DispatchContext {
   // The World's scheduling RNG stream; state advances across calls, so a
   // policy must draw from it exactly when its scheme needs randomness.
   [[nodiscard]] Xoshiro256& sched_rng() const { return *rng_; }
-  // Unclaimed requesting sensors, oldest request first.
-  [[nodiscard]] const std::vector<SensorId>& arrival_order() const {
-    return *arrival_;
-  }
-  [[nodiscard]] SensorView sensor(SensorId s) const { return view_(s); }
   // Scratch arena for this round's plan construction (PlanContext tables).
   // Reset by the World between rounds; null when the caller provides none
   // (tests), in which case consumers fall back to the heap.
   [[nodiscard]] PlanArena* arena() const { return arena_; }
 
-  // Expands cluster batches into per-sensor single-node items (fresh
-  // position and demand). kFresh re-evaluates each sensor's critical flag;
+  // Expands cluster batches into per-sensor single-node items read from
+  // each member's request. kFresh takes the request's critical flag;
   // kInherit copies the batch's flag (the historical fallback semantics).
   enum class SinglesCritical { kFresh, kInherit };
   [[nodiscard]] std::vector<RechargeItem> singles(
@@ -100,38 +86,38 @@ class DispatchContext {
 
  private:
   const std::vector<RechargeItem>* items_;
+  const RechargeNodeList* requests_;
   const RvPlanState* rv_;
   const PlannerParams* params_;
   std::size_t rv_id_;
   const std::vector<Vec2>* fleet_;
   std::size_t num_groups_;
   Xoshiro256* rng_;
-  const std::vector<SensorId>* arrival_;
-  SensorViewFn view_;
   PlanArena* arena_ = nullptr;
 };
 
 // What a policy asks the World to do with the RV this round.
 struct DispatchDecision {
   enum class Kind {
-    kPlan,          // serve `sequence` over `items`
+    kPlan,          // serve `stops` in order
     kReturnToBase,  // head home if in the field, otherwise hold
     kSelfCharge,    // head home if in the field, else top up at the dock
     kHold,          // do nothing this round
   };
 
   Kind kind = Kind::kHold;
-  // kPlan only: the item list `sequence` indexes into. Policies that plan
-  // over a derived list (e.g. per-sensor singles) return that list here.
-  std::vector<RechargeItem> items;
-  std::vector<std::size_t> sequence;
+  // kPlan only: the chosen items (cluster batches or single nodes) in
+  // visiting order.
+  std::vector<RechargeItem> stops;
 
-  [[nodiscard]] static DispatchDecision plan(std::vector<RechargeItem> over,
-                                             std::vector<std::size_t> seq) {
+  // A plan visiting items[seq[0]], items[seq[1]], ...; copies only those.
+  [[nodiscard]] static DispatchDecision plan(
+      const std::vector<RechargeItem>& items,
+      const std::vector<std::size_t>& seq) {
     DispatchDecision d;
     d.kind = Kind::kPlan;
-    d.items = std::move(over);
-    d.sequence = std::move(seq);
+    d.stops.reserve(seq.size());
+    for (const std::size_t i : seq) d.stops.push_back(items[i]);
     return d;
   }
   [[nodiscard]] static DispatchDecision return_to_base() {
@@ -157,9 +143,15 @@ class SchedulerPolicy {
       const DispatchContext& ctx) const = 0;
 };
 
+// Algorithm 2 over raw nodes: serve the single most profitable affordable
+// sensor of `from`'s batches (critical flags per `mode`, see singles()), or
+// go refill when nothing is affordable.
+[[nodiscard]] DispatchDecision best_single_node(
+    const DispatchContext& ctx, const std::vector<RechargeItem>& from,
+    DispatchContext::SinglesCritical mode);
+
 // Shared tail used by aggregate planners when no full batch fits the
-// budget: serve the single most profitable raw request (critical flags
-// inherited from the batch), or go refill when nothing is affordable.
+// budget: best_single_node over every item, flags inherited from the batch.
 [[nodiscard]] DispatchDecision fallback_single_node(const DispatchContext& ctx);
 
 // One row of the scheme table: the name config and CLI select it by, the

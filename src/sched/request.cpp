@@ -15,6 +15,7 @@ void RechargeNodeList::add(RechargeRequest request) {
   WRSN_REQUIRE(request.sensor != kInvalidId, "request needs a sensor id");
   WRSN_REQUIRE(request.demand.value() >= 0.0, "demand must be non-negative");
   WRSN_REQUIRE(!contains(request.sensor), "sensor already has a pending request");
+  WRSN_REQUIRE(!request.claimed, "a new request starts unclaimed");
   if (request.sensor >= slot_.size()) slot_.resize(request.sensor + 1, 0);
   slot_[request.sensor] = requests_.size() + 1;
   requests_.push_back(std::move(request));
@@ -40,6 +41,28 @@ bool RechargeNodeList::contains(SensorId sensor) const {
   return slot_of(sensor) != 0;
 }
 
+std::size_t RechargeNodeList::index_of(SensorId sensor) const {
+  const std::size_t slot = slot_of(sensor);
+  WRSN_REQUIRE(slot != 0, "no pending request for sensor");
+  return slot - 1;
+}
+
+const RechargeRequest& RechargeNodeList::request(SensorId sensor) const {
+  return requests_[index_of(sensor)];
+}
+
+void RechargeNodeList::claim(SensorId sensor) {
+  RechargeRequest& r = requests_[index_of(sensor)];
+  WRSN_REQUIRE(!r.claimed, "sensor already claimed");
+  r.claimed = true;
+}
+
+void RechargeNodeList::release(SensorId sensor) {
+  RechargeRequest& r = requests_[index_of(sensor)];
+  WRSN_REQUIRE(r.claimed, "sensor is not claimed");
+  r.claimed = false;
+}
+
 bool RechargeNodeList::consistent() const {
   std::size_t indexed = 0;
   for (SensorId s = 0; s < slot_.size(); ++s) {
@@ -54,9 +77,7 @@ bool RechargeNodeList::consistent() const {
 
 void RechargeNodeList::update(SensorId sensor, Joule demand, bool critical,
                               double fraction) {
-  const std::size_t slot = slot_of(sensor);
-  WRSN_REQUIRE(slot != 0, "no pending request for sensor");
-  RechargeRequest& r = requests_[slot - 1];
+  RechargeRequest& r = requests_[index_of(sensor)];
   r.demand = demand;
   r.critical = critical;
   r.fraction = fraction;
@@ -68,6 +89,7 @@ std::vector<RechargeItem> aggregate_requests(
   std::vector<RechargeItem> singles;
 
   for (const RechargeRequest& r : requests) {
+    if (r.claimed) continue;
     if (r.cluster == kInvalidId) {
       RechargeItem item;
       item.pos = r.pos;

@@ -2,8 +2,10 @@
 // The recharge node list R (Section II-A) and its cluster-aggregated view.
 //
 // Sensors whose cluster's ERP trigger fired are appended here by the base
-// station. Before route planning, per-sensor requests belonging to the same
-// cluster are folded into one RechargeItem with the aggregated demand
+// station. The list is the one record of pending work: each request also
+// carries the claim bit set while an RV holds the sensor in its service
+// queue. Before route planning, the unclaimed requests of one cluster are
+// folded into one RechargeItem with the aggregated demand
 // (Section IV-C: "all energy demands from sensors inside a cluster are
 // replaced by an aggregated cluster energy demand"), positioned at the
 // cluster centroid. Unclustered sensors become single-node items.
@@ -27,18 +29,29 @@ struct RechargeRequest {
   // Battery fraction at the last status refresh (deadline proxy used by the
   // EDF extension scheduler).
   double fraction = 0.0;
+  // Set only by RechargeNodeList::claim/release; a new request starts clear.
+  bool claimed = false;
 };
 
 class RechargeNodeList {
  public:
   void add(RechargeRequest request);
-  // Removes the request of `sensor`; returns whether one existed.
+  // Removes the request of `sensor` and its claim; returns whether one existed.
   bool remove(SensorId sensor);
   void clear();
+
+  // Marks the pending request of `sensor` as taken by an RV. Throws when
+  // the sensor has no pending request or is already claimed.
+  void claim(SensorId sensor);
+  // Clears the claim of `sensor` (plan abandoned, RV broke down); the
+  // request stays pending. Throws unless the sensor is claimed.
+  void release(SensorId sensor);
 
   [[nodiscard]] bool empty() const { return requests_.empty(); }
   [[nodiscard]] std::size_t size() const { return requests_.size(); }
   [[nodiscard]] bool contains(SensorId sensor) const;
+  // The pending request of `sensor`; throws when there is none.
+  [[nodiscard]] const RechargeRequest& request(SensorId sensor) const;
   [[nodiscard]] const std::vector<RechargeRequest>& requests() const { return requests_; }
 
   // Refreshes demand/critical/fraction of an existing request (levels keep
@@ -52,6 +65,8 @@ class RechargeNodeList {
 
  private:
   [[nodiscard]] std::size_t slot_of(SensorId sensor) const;
+  // Position of `sensor`'s request in requests_; throws when there is none.
+  [[nodiscard]] std::size_t index_of(SensorId sensor) const;
 
   std::vector<RechargeRequest> requests_;  // arrival order (planner contract)
   // slot_[s] = position of s's request in requests_ plus one, 0 when absent.
@@ -70,8 +85,9 @@ struct RechargeItem {
   std::vector<SensorId> sensors;  // the underlying requests
 };
 
-// Folds the raw request list into planner items. Ordering is deterministic:
-// clusters by ascending cluster id, then unclustered nodes by sensor id.
+// Folds the unclaimed requests into planner items (claimed ones are
+// skipped). Ordering is deterministic: clusters by ascending cluster id,
+// then unclustered nodes by sensor id.
 [[nodiscard]] std::vector<RechargeItem> aggregate_requests(
     const std::vector<RechargeRequest>& requests);
 

@@ -1,6 +1,5 @@
 #include "sim/snapshot.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
@@ -56,11 +55,10 @@ void io_index(Ar& ar, T& v) {
 template <typename Ar, typename V>
 void io_index_vec(Ar& ar, V& v) {
   if constexpr (kLoading<Ar>) {
-    std::uint64_t n = 0;
-    ar.u64(n);
+    const std::size_t n = ar.count(8);
     v.clear();
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       std::uint64_t e = 0;
       ar.u64(e);
       v.push_back(static_cast<typename V::value_type>(e));
@@ -74,13 +72,12 @@ void io_index_vec(Ar& ar, V& v) {
 template <typename Ar, typename V>
 void io_bool_vec(Ar& ar, V& v) {
   if constexpr (kLoading<Ar>) {
-    std::uint64_t n = 0;
-    ar.u64(n);
-    v.assign(static_cast<std::size_t>(n), false);
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = ar.count(1);
+    v.assign(n, false);
+    for (std::size_t i = 0; i < n; ++i) {
       bool b = false;
       ar.boolean(b);
-      v[static_cast<std::size_t>(i)] = b;
+      v[i] = b;
     }
   } else {
     ar.u64(v.size());
@@ -102,9 +99,7 @@ void io_enum8(Ar& ar, E& v) {
 template <typename Ar, typename V>
 void io_enum8_vec(Ar& ar, V& v) {
   if constexpr (kLoading<Ar>) {
-    std::uint64_t n = 0;
-    ar.u64(n);
-    v.assign(static_cast<std::size_t>(n), typename V::value_type{});
+    v.assign(ar.count(1), typename V::value_type{});
     for (auto& e : v) {
       std::uint8_t b = 0;
       ar.u8(b);
@@ -119,9 +114,7 @@ void io_enum8_vec(Ar& ar, V& v) {
 template <typename Ar, typename V>
 void io_vec2_vec(Ar& ar, V& v) {
   if constexpr (kLoading<Ar>) {
-    std::uint64_t n = 0;
-    ar.u64(n);
-    v.assign(static_cast<std::size_t>(n), Vec2{});
+    v.assign(ar.count(16), Vec2{});
   } else {
     ar.u64(v.size());
   }
@@ -249,10 +242,7 @@ struct SnapshotAccess {
 
     // --- clustering & activation -----------------------------------------
     if constexpr (kLoad) {
-      std::uint64_t n = 0;
-      ar.u64(n);
-      w.clusters_.members.assign(static_cast<std::size_t>(n),
-                                 std::vector<SensorId>{});
+      w.clusters_.members.assign(ar.count(8), std::vector<SensorId>{});
     } else {
       ar.u64(w.clusters_.members.size());
     }
@@ -260,9 +250,7 @@ struct SnapshotAccess {
     io_index_vec(ar, w.clusters_.assignment);
     io_index_vec(ar, w.clusters_.loads);
     if constexpr (kLoad) {
-      std::uint64_t n = 0;
-      ar.u64(n);
-      w.rotors_.assign(static_cast<std::size_t>(n), ClusterRotor{});
+      w.rotors_.assign(ar.count(16), ClusterRotor{});
       for (auto& rotor : w.rotors_) {
         std::vector<SensorId> members;
         io_index_vec(ar, members);
@@ -318,16 +306,20 @@ struct SnapshotAccess {
     }
     ar.vec(w.request_time_);
     {
-      // claimed_ is an unordered_set; sorted for canonical snapshot bytes.
+      // Claims as ascending sensor ids (the requests above are written
+      // without their claim bits); claim() refuses an id with no pending
+      // request or one listed twice.
       std::vector<SensorId> claimed;
       if constexpr (!kLoad) {
-        claimed.assign(w.claimed_.begin(), w.claimed_.end());
-        std::sort(claimed.begin(), claimed.end());
+        for (SensorId s = 0; s < num_sensors; ++s) {
+          if (w.requests_.contains(s) && w.requests_.request(s).claimed) {
+            claimed.push_back(s);
+          }
+        }
       }
       io_index_vec(ar, claimed);
       if constexpr (kLoad) {
-        w.claimed_.clear();
-        w.claimed_.insert(claimed.begin(), claimed.end());
+        for (const SensorId s : claimed) w.requests_.claim(s);
       }
     }
 
@@ -376,11 +368,10 @@ struct SnapshotAccess {
     if constexpr (kLoad) {
       std::uint64_t next_seq = 0;
       ar.u64(next_seq);
-      std::uint64_t n = 0;
-      ar.u64(n);
+      const std::size_t n = ar.count(33);  // bytes per io_event
       std::vector<Event> events;
-      events.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) {
+      events.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
         Event e;
         io_event(ar, e);
         events.push_back(e);
@@ -411,9 +402,7 @@ struct SnapshotAccess {
     }
     ar.boolean(w.record_series_);
     if constexpr (kLoad) {
-      std::uint64_t n = 0;
-      ar.u64(n);
-      w.series_.assign(static_cast<std::size_t>(n), TimeSeriesPoint{});
+      w.series_.assign(ar.count(48), TimeSeriesPoint{});  // bytes per point
     } else {
       ar.u64(w.series_.size());
     }

@@ -153,11 +153,13 @@ void World::set_telemetry(obs::TelemetryRegistry* registry) {
   if (registry == nullptr) return;
   published_ = counter_values();
   publish_telemetry();  // registers every counter and the gauge
-  // Pre-register the scheduler timing scopes so an export always carries
-  // them, even for schedulers that never enter a given path.
+  // Pre-register every scheduler timing scope a dispatch round can enter
+  // (PlanContext defers to the reference scans below its size cutoff), so
+  // an export always carries them, even for schedulers that never do.
   for (const char* scope :
-       {"planner/greedy", "planner/insertion", "kmeans/lloyd",
-        "tsp/nearest-neighbor", "tsp/two-opt"}) {
+       {"planner/greedy", "planner/insertion", "planner/ctx_greedy",
+        "planner/ctx_insertion", "planner/ctx_nearest", "planner/partition",
+        "kmeans/lloyd", "tsp/nearest-neighbor", "tsp/two-opt"}) {
     registry->timer(scope);
   }
 }

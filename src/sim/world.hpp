@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "activity/activation.hpp"
@@ -302,8 +301,7 @@ class World {
 
   // --- RV control -----------------------------------------------------------
   void dispatch();
-  void assign_plan(Rv& rv, const std::vector<RechargeItem>& items,
-                   const std::vector<std::size_t>& seq);
+  void assign_plan(Rv& rv, const std::vector<RechargeItem>& stops);
   void start_next_leg(Rv& rv);
   void return_to_base(Rv& rv);
   void begin_self_charge(Rv& rv);
@@ -359,7 +357,6 @@ class World {
 
   RechargeNodeList requests_;
   std::vector<double> request_time_;             // per sensor, -1 when none
-  std::unordered_set<SensorId> claimed_;
 
   std::vector<Rv> rvs_;
   // The scheduling scheme, instantiated from the registry by name
@@ -419,13 +416,11 @@ class World {
   std::vector<std::size_t> alive_members_;       // per target, alive members
 
   // Dispatch-round scratch: the arena backs PlanContext's per-round tables,
-  // the vectors are reused across rounds to avoid reallocating the item /
-  // fleet / arrival lists every dispatch.
+  // the vectors are reused across rounds to avoid reallocating the item and
+  // fleet lists every dispatch.
   PlanArena plan_arena_;
-  std::vector<RechargeRequest> unclaimed_scratch_;
   std::vector<RechargeItem> items_scratch_;
   std::vector<Vec2> fleet_scratch_;
-  std::vector<SensorId> arrival_scratch_;
 
   MetricsIntegrator metrics_;
   CheckpointHook checkpoint_hook_;

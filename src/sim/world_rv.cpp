@@ -14,20 +14,18 @@ Joule World::rv_reserve() const {
 }
 
 const std::vector<RechargeItem>& World::unclaimed_items() {
-  // Demands drift while requests wait; refresh them so planners see current
-  // values (the base station learns levels from status reports). The request
-  // and item lists live in reused scratch buffers: rebuilt every call, valid
-  // until the next one.
-  unclaimed_scratch_.clear();
+  // Demands drift while requests wait; refresh the unclaimed ones so
+  // planners see current values (the base station learns levels from status
+  // reports). The item list lives in a reused scratch buffer: rebuilt every
+  // call, valid until the next one.
   for (const RechargeRequest& r : requests_.requests()) {
-    if (claimed_.contains(r.sensor)) continue;
+    if (r.claimed) continue;
     settle_sensor(r.sensor);  // decision point: planners see current levels
     requests_.update(r.sensor, net_.sensor(r.sensor).battery.demand(),
                      sensor_critical(r.sensor),
                      net_.sensor(r.sensor).battery.fraction());
-    unclaimed_scratch_.push_back(r);  // r now carries the refreshed values
   }
-  items_scratch_ = aggregate_requests(unclaimed_scratch_);
+  items_scratch_ = aggregate_requests(requests_.requests());
   return items_scratch_;
 }
 
@@ -49,35 +47,23 @@ void World::dispatch() {
       continue;
     }
 
-    // Assemble the read-only facade the policy plans against. The snapshots
-    // are pure reads; building them for every scheme keeps the physics
-    // identical across policies. All plan-round allocations come from reused
-    // scratch vectors plus the bump arena (reset per round; any PlanContext
-    // the policy built is gone by then).
+    // Assemble the read-only facade the policy plans against: the items and
+    // the recharge node list unclaimed_items() just refreshed. All plan-round
+    // allocations come from reused scratch vectors plus the bump arena
+    // (reset per round; any PlanContext the policy built is gone by then).
     plan_arena_.reset();
     const RvPlanState state{rv.pos, rv.battery.level() - rv_reserve()};
     fleet_scratch_.clear();
     fleet_scratch_.reserve(rvs_.size());
     for (const Rv& other : rvs_) fleet_scratch_.push_back(other.pos);
-    arrival_scratch_.clear();
-    arrival_scratch_.reserve(requests_.requests().size());
-    for (const RechargeRequest& req : requests_.requests()) {
-      if (!claimed_.contains(req.sensor)) arrival_scratch_.push_back(req.sensor);
-    }
-    const DispatchContext ctx(
-        items, state, params, rv.id, fleet_scratch_, config_.num_rvs,
-        sched_rng_, arrival_scratch_,
-        [this](SensorId s) {
-          return SensorView{net_.sensor(s).pos,
-                            net_.sensor(s).battery.demand(),
-                            sensor_critical(s)};
-        },
-        &plan_arena_);
+    const DispatchContext ctx(items, requests_, state, params, rv.id,
+                              fleet_scratch_, config_.num_rvs, sched_rng_,
+                              &plan_arena_);
 
     const DispatchDecision decision = policy_->decide(ctx);
     switch (decision.kind) {
       case DispatchDecision::Kind::kPlan:
-        assign_plan(rv, decision.items, decision.sequence);
+        assign_plan(rv, decision.stops);
         break;
       case DispatchDecision::Kind::kReturnToBase:
         if (rv.in_field) return_to_base(rv);
@@ -99,15 +85,13 @@ void World::head_home_and_refill(Rv& rv) {
   }
 }
 
-void World::assign_plan(Rv& rv, const std::vector<RechargeItem>& items,
-                        const std::vector<std::size_t>& seq) {
+void World::assign_plan(Rv& rv, const std::vector<RechargeItem>& stops) {
   WRSN_ASSERT(rv.idle(), "plans can only be assigned to idle RVs");
   WRSN_ASSERT(rv.service_queue.empty(), "plan assigned over a pending queue");
-  WRSN_ASSERT(!seq.empty(), "empty plan");
+  WRSN_ASSERT(!stops.empty(), "empty plan");
   std::vector<SensorId> visit;
   Vec2 cur = rv.pos;
-  for (std::size_t idx : seq) {
-    const RechargeItem& item = items[idx];
+  for (const RechargeItem& item : stops) {
     // Inside a cluster the visiting order is a nearest-neighbour tour
     // (Section IV-C).
     std::vector<Vec2> positions;
@@ -131,8 +115,7 @@ void World::assign_plan(Rv& rv, const std::vector<RechargeItem>& items,
     visit = std::move(improved);
   }
   for (SensorId s : visit) {
-    WRSN_ASSERT(!claimed_.contains(s), "sensor claimed twice");
-    claimed_.insert(s);
+    requests_.claim(s);
     rv.service_queue.push_back(s);
     mark_span(request_span_[s], "claimed", static_cast<double>(rv.id));
   }
@@ -200,7 +183,7 @@ void World::begin_self_charge(Rv& rv) {
 }
 
 void World::abandon_plan(Rv& rv) {
-  for (SensorId s : rv.service_queue) claimed_.erase(s);
+  for (SensorId s : rv.service_queue) requests_.release(s);
   rv.service_queue.clear();
 }
 
@@ -288,7 +271,6 @@ void World::on_rv_charge_done(RvId r) {
 
   sensor.recharge_requested = false;
   requests_.remove(s);
-  claimed_.erase(s);
   request_time_[s] = -1.0;
   invalidate_crossing(s);
   WRSN_DEBUG_ASSERT(requests_.consistent(),
@@ -369,7 +351,7 @@ void World::on_rv_breakdown(RvId r) {
     // requests (still in the recharge node list) are replanned across the
     // surviving RVs by the next dispatch.
     for (SensorId s : rv.service_queue) {
-      claimed_.erase(s);
+      requests_.release(s);
       if (stranded_since_[s] < 0.0) stranded_since_[s] = now_;
       mark_span(request_span_[s], "stranded");
       ++stranded;

@@ -110,6 +110,30 @@ TEST(Observability, TelemetryRegistryDoesNotPerturb) {
   EXPECT_GT(registry.timer("planner/greedy").count(), 0u);
 }
 
+// Every scheduler scope a dispatch round can enter is pre-registered, so a
+// Greedy run (which never enters the PlanContext insertion kernel) still
+// exports planner/ctx_insertion, with zero calls.
+TEST(Observability, ExportCarriesEveryPlannerScope) {
+  SimConfig cfg = obs_config();
+  cfg.scheduler = "greedy";
+  cfg.sim_duration = days(1.0);
+  World w(cfg);
+  obs::TelemetryRegistry registry;
+  w.set_telemetry(&registry);
+  (void)w.run();
+  const std::string doc = registry.to_json();
+  for (const char* scope :
+       {"planner/greedy", "planner/insertion", "planner/ctx_greedy",
+        "planner/ctx_insertion", "planner/ctx_nearest", "planner/partition",
+        "kmeans/lloyd", "tsp/nearest-neighbor", "tsp/two-opt"}) {
+    EXPECT_NE(doc.find(std::string("\"") + scope + "\":{"), std::string::npos)
+        << scope;
+  }
+  EXPECT_NE(doc.find("\"planner/ctx_insertion\":{\"count\":0,"),
+            std::string::npos)
+      << doc;
+}
+
 TEST(Observability, TraceSinkDoesNotPerturb) {
   World plain(obs_config());
   World traced(obs_config());

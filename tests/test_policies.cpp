@@ -4,7 +4,6 @@
 // requests claimed), over-budget batches and the happy paths.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,34 +26,39 @@ RechargeItem item_at(Vec2 pos, double demand, std::vector<SensorId> sensors,
   return it;
 }
 
-// A self-contained planning round: the vectors a DispatchContext references,
-// bundled so tests can mutate them before building the facade.
+// A self-contained planning round: the containers a DispatchContext
+// references, bundled so tests can mutate them before building the facade.
+// `requests` is the recharge node list in arrival order; `items` is what the
+// policy plans over (hand-built, so a test can shape batches freely).
 struct Round {
   std::vector<RechargeItem> items;
+  RechargeNodeList requests;
   RvPlanState rv{{100.0, 100.0}, Joule{50000.0}};
   PlannerParams params{JoulePerMeter{5.6}, Vec2{100.0, 100.0}};
   std::size_t rv_id = 0;
   std::vector<Vec2> fleet{{100.0, 100.0}};
   std::size_t num_groups = 1;
   Xoshiro256 rng{42};
-  std::vector<SensorId> arrival;
-  std::map<SensorId, SensorView> sensors;
 
-  // Registers a single-sensor item and its base-station view.
+  // Appends a request for sensor `s` to the recharge node list.
+  void add_request(SensorId s, Vec2 pos, double demand, bool critical = false) {
+    RechargeRequest r;
+    r.sensor = s;
+    r.pos = pos;
+    r.demand = Joule{demand};
+    r.critical = critical;
+    requests.add(r);
+  }
+
+  // Registers a single-sensor item and its request.
   void add_single(SensorId s, Vec2 pos, double demand, bool critical = false) {
     items.push_back(item_at(pos, demand, {s}, critical));
-    sensors[s] = SensorView{pos, Joule{demand}, critical};
-    arrival.push_back(s);
+    add_request(s, pos, demand, critical);
   }
 
   [[nodiscard]] DispatchContext ctx() {
-    return DispatchContext(items, rv, params, rv_id, fleet, num_groups, rng,
-                           arrival, [this](SensorId s) {
-                             const auto it = sensors.find(s);
-                             WRSN_REQUIRE(it != sensors.end(),
-                                          "test sensor view missing");
-                             return it->second;
-                           });
+    return DispatchContext(items, requests, rv, params, rv_id, fleet,
+                           num_groups, rng);
   }
 };
 
@@ -90,15 +94,15 @@ TEST(SchedulerRegistry, UnknownNameThrowsListingValidNames) {
 
 // --- cross-policy edge cases --------------------------------------------
 
-// All requests claimed (or none outstanding): the World filters claimed
-// sensors before aggregation, so the policy sees an empty item list. Every
+// All requests claimed (or none outstanding): aggregate_requests skips
+// claimed sensors, so the policy sees an empty item list. Every
 // policy must answer with a no-plan decision, never a plan over nothing.
 TEST(Policies, EmptyItemListNeverPlans) {
   for (const std::string& name : scheduler_names()) {
     Round round;
     const DispatchDecision d = make(name)->decide(round.ctx());
     EXPECT_NE(d.kind, DispatchDecision::Kind::kPlan) << name;
-    EXPECT_TRUE(d.sequence.empty()) << name;
+    EXPECT_TRUE(d.stops.empty()) << name;
   }
 }
 
@@ -121,8 +125,8 @@ TEST(Policies, SingleAffordableItemIsPlanned) {
     round.add_single(3, {110.0, 100.0}, 200.0);
     const DispatchDecision d = make(name)->decide(round.ctx());
     ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan) << name;
-    ASSERT_EQ(d.sequence.size(), 1u) << name;
-    const RechargeItem& chosen = d.items[d.sequence[0]];
+    ASSERT_EQ(d.stops.size(), 1u) << name;
+    const RechargeItem& chosen = d.stops[0];
     ASSERT_EQ(chosen.sensors.size(), 1u) << name;
     EXPECT_EQ(chosen.sensors[0], 3u) << name;
   }
@@ -133,14 +137,15 @@ TEST(Policies, SingleAffordableItemIsPlanned) {
 TEST(DispatchContext, SinglesExpandBatchesPerSensorView) {
   Round round;
   round.items.push_back(item_at({50.0, 50.0}, 900.0, {1, 2}, true));
-  round.sensors[1] = SensorView{{49.0, 50.0}, Joule{400.0}, false};
-  round.sensors[2] = SensorView{{51.0, 50.0}, Joule{500.0}, true};
+  round.add_request(1, {49.0, 50.0}, 400.0, false);
+  round.add_request(2, {51.0, 50.0}, 500.0, true);
   const DispatchContext ctx = round.ctx();
 
   const auto fresh =
       ctx.singles(round.items, DispatchContext::SinglesCritical::kFresh);
   ASSERT_EQ(fresh.size(), 2u);
   EXPECT_EQ(fresh[0].sensors, std::vector<SensorId>{1});
+  EXPECT_EQ(fresh[0].pos, (Vec2{49.0, 50.0}));  // the member's own request
   EXPECT_DOUBLE_EQ(fresh[0].demand.value(), 400.0);
   EXPECT_FALSE(fresh[0].critical);  // re-evaluated per sensor
   EXPECT_TRUE(fresh[1].critical);
@@ -163,8 +168,8 @@ TEST(FcfsPolicy, SkipsUnaffordableOldestBatch) {
   round.add_single(2, {105.0, 100.0}, 100.0);    // next-oldest, affordable
   const DispatchDecision d = make("fcfs")->decide(round.ctx());
   ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan);
-  ASSERT_EQ(d.sequence.size(), 1u);
-  EXPECT_EQ(d.items[d.sequence[0]].sensors, std::vector<SensorId>{2});
+  ASSERT_EQ(d.stops.size(), 1u);
+  EXPECT_EQ(d.stops[0].sensors, std::vector<SensorId>{2});
 }
 
 TEST(FcfsPolicy, ServesOldestAffordableBatchFirst) {
@@ -175,7 +180,7 @@ TEST(FcfsPolicy, ServesOldestAffordableBatchFirst) {
   round.add_single(4, {105.0, 100.0}, 100.0);
   const DispatchDecision d = make("fcfs")->decide(round.ctx());
   ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan);
-  EXPECT_EQ(d.items[d.sequence[0]].sensors, std::vector<SensorId>{5});
+  EXPECT_EQ(d.stops[0].sensors, std::vector<SensorId>{5});
 }
 
 TEST(FcfsPolicy, WeighsEachBatchOnce) {
@@ -184,13 +189,28 @@ TEST(FcfsPolicy, WeighsEachBatchOnce) {
   Round round;
   round.rv.available = Joule{3000.0};
   round.items.push_back(item_at({150.0, 100.0}, 50000.0, {1, 2}));
-  round.sensors[1] = SensorView{{149.0, 100.0}, Joule{25000.0}, false};
-  round.sensors[2] = SensorView{{151.0, 100.0}, Joule{25000.0}, false};
+  round.add_request(1, {149.0, 100.0}, 25000.0);  // both batch members
+  round.add_request(2, {151.0, 100.0}, 25000.0);  // ahead of the single
   round.add_single(3, {105.0, 100.0}, 100.0);
-  round.arrival = {1, 2, 3};  // both batch members ahead of the single
   const DispatchDecision d = make("fcfs")->decide(round.ctx());
   ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan);
-  EXPECT_EQ(d.items[d.sequence[0]].sensors, std::vector<SensorId>{3});
+  EXPECT_EQ(d.stops[0].sensors, std::vector<SensorId>{3});
+}
+
+// A claimed request is already being served: FCFS passes over it even when
+// it is the oldest, and picks the oldest unclaimed request's batch.
+TEST(FcfsPolicy, PassesOverClaimedOldestRequest) {
+  Round round;
+  round.add_request(1, {102.0, 100.0}, 100.0);  // oldest, claimed below
+  round.add_request(6, {140.0, 100.0}, 100.0);  // oldest unclaimed
+  round.add_request(2, {105.0, 100.0}, 100.0);
+  round.requests.claim(1);
+  round.items = aggregate_requests(round.requests.requests());
+  ASSERT_EQ(round.items.size(), 2u);  // sensor 1's request is not an item
+  const DispatchDecision d = make("fcfs")->decide(round.ctx());
+  ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan);
+  ASSERT_EQ(d.stops.size(), 1u);
+  EXPECT_EQ(d.stops[0].sensors, std::vector<SensorId>{6});
 }
 
 // --- nearest-first / edf / greedy selection ------------------------------
@@ -201,7 +221,7 @@ TEST(NearestFirstPolicy, PicksClosestRegardlessOfDemand) {
   round.add_single(2, {105.0, 100.0}, 100.0);   // near, poor
   const DispatchDecision d = make("nearest-first")->decide(round.ctx());
   ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan);
-  EXPECT_EQ(d.items[d.sequence[0]].sensors, std::vector<SensorId>{2});
+  EXPECT_EQ(d.stops[0].sensors, std::vector<SensorId>{2});
 }
 
 TEST(EdfPolicy, PicksLowestBatteryFraction) {
@@ -212,7 +232,7 @@ TEST(EdfPolicy, PicksLowestBatteryFraction) {
   round.items[1].min_fraction = 0.05;  // nearly dead: earliest deadline
   const DispatchDecision d = make("edf")->decide(round.ctx());
   ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan);
-  EXPECT_EQ(d.items[d.sequence[0]].sensors, std::vector<SensorId>{2});
+  EXPECT_EQ(d.stops[0].sensors, std::vector<SensorId>{2});
 }
 
 TEST(GreedyPolicy, PlansOverExpandedSingles) {
@@ -220,14 +240,12 @@ TEST(GreedyPolicy, PlansOverExpandedSingles) {
   // over per-sensor singles (one destination per step, Algorithm 2).
   Round round;
   round.items.push_back(item_at({110.0, 100.0}, 900.0, {1, 2}));
-  round.sensors[1] = SensorView{{109.0, 100.0}, Joule{400.0}, false};
-  round.sensors[2] = SensorView{{111.0, 100.0}, Joule{500.0}, false};
-  round.arrival = {1, 2};
+  round.add_request(1, {109.0, 100.0}, 400.0);
+  round.add_request(2, {111.0, 100.0}, 500.0);
   const DispatchDecision d = make("greedy")->decide(round.ctx());
   ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan);
-  ASSERT_EQ(d.sequence.size(), 1u);
-  EXPECT_EQ(d.items.size(), 2u);  // singles, not the original batch
-  EXPECT_EQ(d.items[d.sequence[0]].sensors.size(), 1u);
+  ASSERT_EQ(d.stops.size(), 1u);  // one single, not the original batch
+  EXPECT_EQ(d.stops[0].sensors.size(), 1u);
 }
 
 // --- partition -----------------------------------------------------------
@@ -255,8 +273,8 @@ TEST(PartitionPolicy, PlansWithinItsOwnGroup) {
   round.add_single(2, {178.0, 180.0}, 100.0);
   const DispatchDecision d = make("partition")->decide(round.ctx());
   ASSERT_EQ(d.kind, DispatchDecision::Kind::kPlan);
-  for (const std::size_t idx : d.sequence) {
-    EXPECT_EQ(d.items[idx].sensors, std::vector<SensorId>{2})
+  for (const RechargeItem& stop : d.stops) {
+    EXPECT_EQ(stop.sensors, std::vector<SensorId>{2})
         << "RV 1 must stay in its own region";
   }
 }

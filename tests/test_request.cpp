@@ -47,6 +47,69 @@ TEST(RechargeNodeList, UpdateRefreshesFields) {
   EXPECT_THROW(list.update(9, Joule{1.0}, false, 0.5), InvalidArgument);
 }
 
+TEST(RechargeNodeList, ClaimNeedsAPendingRequest) {
+  RechargeNodeList list;
+  EXPECT_THROW(list.claim(4), InvalidArgument);
+  list.add(make_request(3, 0, {1, 1}, 100.0));
+  EXPECT_THROW(list.claim(4), InvalidArgument);
+  list.claim(3);
+  EXPECT_TRUE(list.request(3).claimed);
+  EXPECT_FALSE(list.contains(4));
+}
+
+TEST(RechargeNodeList, DoubleClaimThrows) {
+  RechargeNodeList list;
+  list.add(make_request(3, 0, {1, 1}, 100.0));
+  list.claim(3);
+  EXPECT_THROW(list.claim(3), InvalidArgument);
+  list.release(3);
+  EXPECT_FALSE(list.request(3).claimed);
+  EXPECT_TRUE(list.contains(3));  // released, still pending
+  EXPECT_THROW(list.release(3), InvalidArgument);
+  list.claim(3);
+  EXPECT_TRUE(list.request(3).claimed);
+}
+
+TEST(RechargeNodeList, RemoveClearsTheClaim) {
+  RechargeNodeList list;
+  list.add(make_request(3, 0, {1, 1}, 100.0));
+  list.add(make_request(5, 0, {2, 2}, 100.0));
+  list.claim(3);
+  EXPECT_TRUE(list.remove(3));
+  EXPECT_FALSE(list.contains(3));
+  EXPECT_THROW(list.release(3), InvalidArgument);
+  list.add(make_request(3, 0, {1, 1}, 100.0));  // a fresh request
+  EXPECT_FALSE(list.request(3).claimed);
+  list.claim(3);  // claimable again
+  EXPECT_TRUE(list.consistent());
+}
+
+TEST(RechargeNodeList, NewRequestMustStartUnclaimed) {
+  RechargeNodeList list;
+  RechargeRequest r = make_request(1, 0, {0, 0}, 10.0);
+  r.claimed = true;
+  EXPECT_THROW(list.add(r), InvalidArgument);
+}
+
+TEST(Aggregate, SkipsClaimedEntries) {
+  RechargeNodeList list;
+  list.add(make_request(1, 5, {0, 0}, 100.0));
+  list.add(make_request(2, 5, {2, 0}, 200.0, true));
+  list.add(make_request(3, 5, {4, 0}, 300.0));
+  list.add(make_request(7, kInvalidId, {9, 9}, 50.0));
+  list.claim(2);
+  list.claim(7);
+  const auto items = aggregate_requests(list.requests());
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].sensors, (std::vector<SensorId>{1, 3}));
+  EXPECT_DOUBLE_EQ(items[0].demand.value(), 400.0);
+  EXPECT_EQ(items[0].pos, (Vec2{2.0, 0.0}));
+  EXPECT_FALSE(items[0].critical);  // the critical member is claimed
+  list.claim(1);
+  list.claim(3);
+  EXPECT_TRUE(aggregate_requests(list.requests()).empty());
+}
+
 TEST(Aggregate, ClusterRequestsFoldIntoOneItem) {
   std::vector<RechargeRequest> reqs = {
       make_request(1, 5, {0, 0}, 100.0),

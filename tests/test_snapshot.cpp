@@ -108,6 +108,36 @@ TEST(BinIo, TruncationThrows) {
   EXPECT_THROW(r.u64(v), InvalidArgument);
 }
 
+// A corrupt element count must be refused as truncation before the reader
+// allocates anything for it (2^62 eight-byte words would be 32 EiB).
+TEST(BinIo, HugeVectorCountThrowsBeforeAllocating) {
+  BinWriter w;
+  w.u64(std::uint64_t{1} << 62);
+  w.u64(std::uint64_t{7});
+  BinReader r(w.bytes());
+  std::vector<std::uint64_t> v;
+  try {
+    r.vec(v);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("binary payload truncated"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(v.empty());
+}
+
+// A string length near 2^64 must not wrap the bounds check and move the
+// read position backwards.
+TEST(BinIo, HugeStringLengthThrows) {
+  BinWriter w;
+  w.u64(~std::uint64_t{0});
+  w.str("tail");
+  BinReader r(w.bytes());
+  std::string s;
+  EXPECT_THROW(r.str(s), InvalidArgument);
+}
+
 TEST(BinIo, TrailingBytesThrow) {
   BinWriter w;
   w.u8(std::uint8_t{1});

@@ -1,10 +1,11 @@
 // Checkpoint/restore equivalence: save-at-t then restore-and-run must be
 // BYTE-IDENTICAL to an uninterrupted run — report JSON, event trace, final
 // battery bit patterns, span files — across both world engines, both event
-// queue implementations, with and without fault injection, with the snapshot
-// taken at a pseudo-random event index of each run. Any divergence pinpoints
-// a member missing from SnapshotAccess::io or a restore that recomputes
-// state instead of reinstating it.
+// queue implementations, with and without fault injection, and for every
+// scheduler, with the snapshot taken at a pseudo-random event index of each
+// run (or, without failover, while a broken-down RV holds claims). Any
+// divergence pinpoints a member missing from SnapshotAccess::io or a restore
+// that recomputes state instead of reinstating it.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,8 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/rng.hpp"
 #include "obs/spans.hpp"
+#include "sched/policy.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/world.hpp"
 
@@ -25,14 +28,30 @@ struct Scenario {
   WorldEngine engine = WorldEngine::kIncremental;
   std::string queue = "calendar";
   bool faults = false;
+  std::string scheduler = "combined";
+  // With failover off a broken-down RV keeps its claims; such a scenario
+  // checkpoints at the first event that leaves one in that state.
+  bool failover = true;
 };
 
 std::string describe(const Scenario& sc) {
   std::ostringstream os;
   os << "seed=" << sc.seed
      << " engine=" << (sc.engine == WorldEngine::kIncremental ? "incremental" : "reference")
-     << " queue=" << sc.queue << " faults=" << (sc.faults ? "on" : "off");
+     << " queue=" << sc.queue << " faults=" << (sc.faults ? "on" : "off")
+     << " scheduler=" << sc.scheduler
+     << " failover=" << (sc.failover ? "on" : "off");
   return os.str();
+}
+
+// Whether some RV is broken down while still holding claimed requests.
+bool broken_rv_holds_claims(const World& w) {
+  for (const Rv& rv : w.rvs()) {
+    if (rv.state == Rv::State::kBrokenDown && !rv.service_queue.empty()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // Small, battery-stressed instances (the test_world_equivalence recipe):
@@ -50,7 +69,7 @@ SimConfig eq_config(const Scenario& sc) {
                                        : TargetMotion::kTeleport;
   cfg.target_period = minutes(30.0);
   cfg.target_speed = MeterPerSecond{1.0};
-  cfg.scheduler = "combined";
+  cfg.scheduler = sc.scheduler;
   cfg.battery.capacity = Joule{150.0};
   cfg.radio.listen_duty_cycle = 0.2;
   cfg.event_queue = sc.queue;
@@ -64,6 +83,7 @@ SimConfig eq_config(const Scenario& sc) {
     cfg.fault.sensor_fault_rate_per_day = 4.0;
     cfg.fault.sensor_fault_duration = minutes(30.0);
     cfg.fault.battery_noise_per_day = 0.05;
+    cfg.fault.rv_failover = sc.failover;
   }
   return cfg;
 }
@@ -149,11 +169,19 @@ void expect_checkpoint_equivalent(const Scenario& sc) {
     World w(cfg, sc.engine);
     w.set_tracer([&stitched](const World::TraceEvent& ev) { stitched.trace.push_back(ev); });
     w.set_span_log(&spans);
-    w.set_checkpoint_hook(
-        [stop_at](const World& world) { return world.events_processed() >= stop_at; });
+    if (sc.failover) {
+      w.set_checkpoint_hook(
+          [stop_at](const World& world) { return world.events_processed() >= stop_at; });
+    } else {
+      w.set_checkpoint_hook(broken_rv_holds_claims);
+    }
     w.run_until(cfg.sim_duration);
     ASSERT_FALSE(w.finished()) << what;
-    ASSERT_EQ(w.events_processed(), stop_at) << what;
+    if (sc.failover) {
+      ASSERT_EQ(w.events_processed(), stop_at) << what;
+    } else {
+      ASSERT_TRUE(broken_rv_holds_claims(w)) << what;
+    }
     snap = deserialize_snapshot(serialize_snapshot(w.checkpoint()));
     sink.finish();
   }
@@ -222,6 +250,30 @@ std::string scenario_name(const testing::TestParamInfo<Scenario>& info) {
 INSTANTIATE_TEST_SUITE_P(AllEnginesQueuesFaults, SnapshotEquivalence,
                          testing::ValuesIn(scenarios()), scenario_name);
 
+// Every scheme with faults on (so claims are released by failover and
+// re-planned), plus one with failover off, whose broken-down RV keeps its
+// claims through the checkpoint and resumes them after the repair.
+std::vector<Scenario> scheduler_scenarios() {
+  std::vector<Scenario> out;
+  for (const std::string& name : scheduler_names()) {
+    out.push_back({2, WorldEngine::kIncremental, "calendar", true, name, true});
+  }
+  out.push_back({0, WorldEngine::kIncremental, "calendar", true, "combined", false});
+  return out;
+}
+
+std::string scheduler_scenario_name(const testing::TestParamInfo<Scenario>& info) {
+  std::string name = info.param.scheduler;
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name + (info.param.failover ? "" : "_no_failover");
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryScheduler, SnapshotEquivalence,
+                         testing::ValuesIn(scheduler_scenarios()),
+                         scheduler_scenario_name);
+
 // Resuming the SAME world object after a hook stop (hook cleared) must also
 // match the golden run: checkpoint capture is observational.
 TEST(SnapshotEquivalence, InProcessResumeAfterHookStop) {
@@ -280,6 +332,69 @@ TEST(SnapshotEquivalence, ResumeAfterHookStopAtHorizon) {
   harvest(w, resumed);
   resumed.span_jsonl = span_out.str();
   expect_same(golden, resumed, "resume after a hook stop at the horizon");
+}
+
+// Claims are restored through RechargeNodeList::claim, so a snapshot whose
+// claim list names a sensor without a pending request, or names one sensor
+// twice, is refused instead of loading silently.
+TEST(SnapshotClaims, RestoreRefusesUnknownOrRepeatedIds) {
+  const Scenario sc{2, WorldEngine::kIncremental, "calendar", false};
+  const SimConfig cfg = eq_config(sc);
+  World w(cfg, sc.engine);
+  w.set_checkpoint_hook([](const World& world) {
+    std::size_t claims = 0;
+    for (const Rv& rv : world.rvs()) claims += rv.service_queue.size();
+    return claims >= 2;
+  });
+  w.run_until(cfg.sim_duration);
+  ASSERT_FALSE(w.finished());
+  const WorldSnapshot snap = w.checkpoint();
+  const RechargeNodeList& list = w.recharge_list();
+
+  // The claim list follows the request records and the per-sensor
+  // request-time vector; locate it by the request records' encoding.
+  BinWriter records;
+  records.u64(list.size());
+  for (const RechargeRequest& r : list.requests()) {
+    records.u64(r.sensor);
+    records.u64(r.cluster);
+    records.f64(r.pos.x);
+    records.f64(r.pos.y);
+    records.f64(r.demand.value());
+    records.boolean(r.critical);
+    records.f64(r.fraction);
+  }
+  const std::size_t at = snap.state.find(records.bytes());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(snap.state.find(records.bytes(), at + 1), std::string::npos);
+  const std::size_t claims_at =
+      at + records.bytes().size() + 8 + 8 * cfg.num_sensors;
+
+  std::vector<SensorId> claimed;
+  SensorId stranger = kInvalidId;  // a sensor with no pending request
+  for (SensorId s = 0; s < cfg.num_sensors; ++s) {
+    if (list.contains(s) && list.request(s).claimed) claimed.push_back(s);
+    if (!list.contains(s) && stranger == kInvalidId) stranger = s;
+  }
+  ASSERT_GE(claimed.size(), 2u);
+  ASSERT_NE(stranger, kInvalidId);
+  BinWriter ascending;
+  ascending.u64(claimed.size());
+  for (const SensorId s : claimed) ascending.u64(s);
+  ASSERT_EQ(snap.state.substr(claims_at, ascending.bytes().size()),
+            ascending.bytes());
+
+  // Overwrites the k-th claimed id.
+  auto patched = [&](std::size_t k, std::uint64_t id) {
+    WorldSnapshot bad = snap;
+    BinWriter v;
+    v.u64(id);
+    bad.state.replace(claims_at + 8 + 8 * k, 8, v.bytes());
+    return bad;
+  };
+  EXPECT_NO_THROW(World restored(snap));
+  EXPECT_THROW(World restored(patched(0, stranger)), InvalidArgument);
+  EXPECT_THROW(World restored(patched(1, claimed[0])), InvalidArgument);
 }
 
 // A snapshot taken between run_until calls (settled horizon, no hook) also
